@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
@@ -412,18 +413,24 @@ bool ParseArgs(int argc, char** argv, BenchOptions* options) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool ok = true;
     if (arg == "--workers" && (v = next())) {
-      options->workers = std::atoi(v);
+      std::size_t workers = 0;
+      ok = ParseSizeFlag("--workers", v, &workers) && workers <= 1024;
+      if (workers > 1024) std::cerr << "--workers: at most 1024\n";
+      options->workers = static_cast<int>(workers);
     } else if (arg == "--sessions" && (v = next())) {
-      options->sessions = static_cast<std::size_t>(std::atol(v));
+      ok = ParseSizeFlag("--sessions", v, &options->sessions);
     } else if (arg == "--steps" && (v = next())) {
-      options->steps = static_cast<std::size_t>(std::atol(v));
+      ok = ParseSizeFlag("--steps", v, &options->steps);
     } else if (arg == "--capture-iters" && (v = next())) {
-      options->capture_iters = static_cast<std::size_t>(std::atol(v));
+      ok = ParseSizeFlag("--capture-iters", v,
+                         &options->capture_iters);
     } else if (arg == "--interval-steps" && (v = next())) {
-      options->interval_steps = static_cast<std::size_t>(std::atol(v));
+      ok = ParseSizeFlag("--interval-steps", v,
+                         &options->interval_steps);
     } else if (arg == "--seed" && (v = next())) {
-      options->seed = static_cast<std::uint64_t>(std::atoll(v));
+      ok = ParseUintFlag("--seed", v, &options->seed);
     } else if (arg == "--dir" && (v = next())) {
       options->dir = v;
     } else if (arg == "--out" && (v = next())) {
@@ -431,7 +438,7 @@ bool ParseArgs(int argc, char** argv, BenchOptions* options) {
     } else if (arg == "--trace" && (v = next())) {
       options->trace = v;
     } else if (arg == "--utilization" && (v = next())) {
-      options->utilization = std::atof(v);
+      ok = ParseDoubleFlag("--utilization", v, &options->utilization);
     } else if (arg == "--durable") {
       options->durable = true;
     } else {
@@ -441,6 +448,7 @@ bool ParseArgs(int argc, char** argv, BenchOptions* options) {
                    " [--utilization F] [--durable]\n";
       return false;
     }
+    if (!ok) return false;
   }
   return options->workers >= 0 && options->sessions >= 1 &&
          options->steps >= 1 && options->capture_iters >= 10 &&

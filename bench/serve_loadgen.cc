@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
@@ -384,26 +385,32 @@ bool ParseArgs(int argc, char** argv, LoadgenOptions* options) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool ok = true;
     if (arg == "--workers" && (v = next())) {
-      options->workers = std::atoi(v);
+      std::size_t workers = 0;
+      ok = ParseSizeFlag("--workers", v, &workers) && workers <= 1024;
+      if (workers > 1024) std::cerr << "--workers: at most 1024\n";
+      options->workers = static_cast<int>(workers);
     } else if (arg == "--sessions" && (v = next())) {
-      options->sessions = static_cast<std::size_t>(std::atol(v));
+      ok = ParseSizeFlag("--sessions", v, &options->sessions);
     } else if (arg == "--duration-seconds" && (v = next())) {
-      options->duration_seconds = std::atof(v);
+      ok = ParseDoubleFlag("--duration-seconds", v,
+                           &options->duration_seconds);
     } else if (arg == "--utilization" && (v = next())) {
-      options->utilization = std::atof(v);
+      ok = ParseDoubleFlag("--utilization", v, &options->utilization);
     } else if (arg == "--burst-factor" && (v = next())) {
-      options->burst_factor = std::atof(v);
+      ok = ParseDoubleFlag("--burst-factor", v, &options->burst_factor);
     } else if (arg == "--burst-fraction" && (v = next())) {
-      options->burst_fraction = std::atof(v);
+      ok = ParseDoubleFlag("--burst-fraction", v, &options->burst_fraction);
     } else if (arg == "--saturation-seconds" && (v = next())) {
-      options->saturation_seconds = std::atof(v);
+      ok = ParseDoubleFlag("--saturation-seconds", v,
+                           &options->saturation_seconds);
     } else if (arg == "--seed" && (v = next())) {
-      options->seed = static_cast<std::uint64_t>(std::atoll(v));
+      ok = ParseUintFlag("--seed", v, &options->seed);
     } else if (arg == "--density-window" && (v = next())) {
-      options->density_window = static_cast<std::size_t>(std::atol(v));
+      ok = ParseSizeFlag("--density-window", v, &options->density_window);
     } else if (arg == "--density-decay" && (v = next())) {
-      options->density_decay = std::atof(v);
+      ok = ParseDoubleFlag("--density-decay", v, &options->density_decay);
     } else if (arg == "--out" && (v = next())) {
       options->out = v;
     } else if (arg == "--trace" && (v = next())) {
@@ -417,6 +424,7 @@ bool ParseArgs(int argc, char** argv, LoadgenOptions* options) {
                    " [--trace PATH]\n";
       return false;
     }
+    if (!ok) return false;
   }
   return options->workers >= 0 && options->sessions >= 1 &&
          options->duration_seconds > 0.0 && options->utilization > 0.0 &&

@@ -8,15 +8,13 @@
 // Prints the per-task metric table (and optionally CSV for plotting).
 // This is the "downstream user" entry point: every knob of the experiment
 // defaults is reachable without writing C++.
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 
+#include "common/flags.h"
 #include "common/table.h"
 #include "common/telemetry.h"
 #include "core/presets.h"
@@ -82,56 +80,6 @@ void PrintUsage() {
       "  --trace <path>        write a JSONL event trace of the run\n"
       "                        (one record per task; implies --telemetry)\n"
       "  --telemetry           collect and print run telemetry counters\n");
-}
-
-/// Strict strtod wrapper: the whole token must parse, to a finite value.
-/// On failure prints the offending flag and token and returns false.
-bool ParseDoubleFlag(const char* flag, const char* token, double* out) {
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token, &end);
-  if (end == token || *end != '\0') {
-    std::fprintf(stderr, "%s: not a number: '%s'\n", flag, token);
-    return false;
-  }
-  if (errno == ERANGE || !std::isfinite(value)) {
-    std::fprintf(stderr, "%s: out of range: '%s'\n", flag, token);
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-/// Strict strtoull wrapper: digits only (no sign, no trailing junk), no
-/// overflow. strtoull on its own accepts "-1" by wrapping it to 2^64-1 and
-/// silently stops at the first non-digit, so "200x" would read as 200.
-bool ParseUintFlag(const char* flag, const char* token, std::uint64_t* out) {
-  if (token[0] == '\0' || token[0] == '+' || token[0] == '-') {
-    std::fprintf(stderr, "%s: not a non-negative integer: '%s'\n", flag,
-                 token);
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token, &end, 10);
-  if (end == token || *end != '\0') {
-    std::fprintf(stderr, "%s: not a non-negative integer: '%s'\n", flag,
-                 token);
-    return false;
-  }
-  if (errno == ERANGE) {
-    std::fprintf(stderr, "%s: out of range: '%s'\n", flag, token);
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(value);
-  return true;
-}
-
-bool ParseSizeFlag(const char* flag, const char* token, std::size_t* out) {
-  std::uint64_t value = 0;
-  if (!ParseUintFlag(flag, token, &value)) return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* options) {

@@ -8,6 +8,21 @@
 
 namespace faction {
 
+std::vector<std::pair<std::size_t, std::size_t>> ParameterShapes(
+    const MlpConfig& config) {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  std::size_t in = config.input_dim;
+  for (std::size_t i = 0; i <= config.hidden_dims.size(); ++i) {
+    const std::size_t out = i < config.hidden_dims.size()
+                                ? config.hidden_dims[i]
+                                : config.num_classes;
+    shapes.emplace_back(out, in);
+    shapes.emplace_back(1, out);
+    in = out;
+  }
+  return shapes;
+}
+
 MlpClassifier::MlpClassifier(const MlpConfig& config, Rng* rng)
     : config_(config) {
   FACTION_CHECK_GE(config_.num_classes, std::size_t{2});

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -30,6 +31,12 @@ struct MlpConfig {
   std::size_t num_classes = 2;
   SpectralNormConfig spectral;
 };
+
+/// (rows, cols) of each tensor MlpClassifier::Parameters() holds for
+/// `config`, in that order: per Linear, the out x in weight, then the
+/// 1 x out bias.
+std::vector<std::pair<std::size_t, std::size_t>> ParameterShapes(
+    const MlpConfig& config);
 
 /// MLP classifier with an exposed feature layer, layer-wise backprop, and
 /// parameter access for optimizers. Move-only (owns training caches).

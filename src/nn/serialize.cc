@@ -1,62 +1,25 @@
 #include "nn/serialize.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <limits>
-#include <sstream>
 #include <utility>
+#include <vector>
 
 #include "common/fsio.h"
+#include "common/token_reader.h"
 
 namespace faction {
 
 namespace {
 
-// v1 printed decimal (max_digits10) tensor payloads; v2 prints hexfloat,
-// which round-trips every finite double bit-for-bit on any conforming
-// strtod. Loaders accept both.
+// v2 prints hexfloat tensor payloads, which round-trip every finite double
+// bit-for-bit on any conforming strtod.
 constexpr int kFormatVersion = 2;
-constexpr int kOldestReadableVersion = 1;
 constexpr char kMagic[] = "faction-mlp";
-
-/// Builds a LoadModel error naming what failed, the stream's source label
-/// (when one was given), and the byte offset where reading stopped — a
-/// truncated or corrupted checkpoint points at its own damage.
-Status LoadFail(std::istream& is, const std::string& source,
-                const std::string& what) {
-  // A failed extraction sets failbit, under which tellg() returns -1;
-  // clear first so the offset reflects the position actually reached.
-  is.clear();
-  const std::streamoff pos = static_cast<std::streamoff>(is.tellg());
-  std::string msg = "LoadModel: " + what;
-  if (!source.empty()) msg += " in " + source;
-  if (pos >= 0) msg += " @byte " + std::to_string(static_cast<long long>(pos));
-  return Status::InvalidArgument(std::move(msg));
-}
-
-/// Parses one whitespace-delimited double token: decimal for v1 payloads,
-/// hexfloat (or decimal) for v2. Rejects trailing garbage and — matching
-/// SaveModel's contract — non-finite values.
-Status ReadDoubleToken(std::istream& is, const std::string& source,
-                       double* out) {
-  std::string token;
-  if (!(is >> token)) {
-    return LoadFail(is, source, "truncated tensor data");
-  }
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size() || token.empty()) {
-    return LoadFail(is, source, "bad tensor value '" + token + "'");
-  }
-  if (!std::isfinite(value)) {
-    return LoadFail(is, source, "non-finite tensor value '" + token + "'");
-  }
-  *out = value;
-  return Status::Ok();
-}
 
 }  // namespace
 
@@ -101,66 +64,74 @@ Status SaveModel(const MlpClassifier& model, std::ostream& os) {
 }
 
 Result<MlpClassifier> LoadModel(std::istream& is, const std::string& source) {
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != kMagic) {
-    return LoadFail(is, source, "bad magic header");
-  }
-  bool known_version = false;
-  for (int v = kOldestReadableVersion; v <= kFormatVersion; ++v) {
-    if (version == "v" + std::to_string(v)) known_version = true;
-  }
-  if (!known_version) {
-    return LoadFail(is, source, "unsupported version " + version);
+  TokenReader r(is, "LoadModel", source);
+  std::string token;
+  FACTION_RETURN_IF_ERROR(r.Token(&token, "magic header"));
+  if (token != kMagic) return r.Fail("bad magic header");
+  FACTION_RETURN_IF_ERROR(r.Token(&token, "format version"));
+  if (token != "v" + std::to_string(kFormatVersion)) {
+    return r.Fail("unsupported version " + token);
   }
   MlpConfig config;
-  std::string key;
-  if (!(is >> key >> config.input_dim) || key != "input_dim") {
-    return LoadFail(is, source, "missing input_dim");
-  }
-  if (!(is >> key >> config.num_classes) || key != "num_classes") {
-    return LoadFail(is, source, "missing num_classes");
-  }
-  if (!(is >> key) || key != "hidden") {
-    return LoadFail(is, source, "missing hidden widths");
-  }
   config.hidden_dims.clear();
-  // Hidden widths run to the end of the line.
-  std::string rest;
-  std::getline(is, rest);
-  std::istringstream hidden(rest);
-  std::size_t width = 0;
-  while (hidden >> width) config.hidden_dims.push_back(width);
-  int spectral_enabled = 0;
-  if (!(is >> key >> spectral_enabled >> config.spectral.coeff >>
-        config.spectral.power_iterations) ||
-      key != "spectral") {
-    return LoadFail(is, source, "missing spectral config");
+  FACTION_RETURN_IF_ERROR(r.Expect("input_dim"));
+  FACTION_RETURN_IF_ERROR(r.Read(&config.input_dim, "input_dim"));
+  FACTION_RETURN_IF_ERROR(r.Expect("num_classes"));
+  FACTION_RETURN_IF_ERROR(r.Read(&config.num_classes, "num_classes"));
+  // Hidden widths run up to the "spectral" tag.
+  FACTION_RETURN_IF_ERROR(r.Expect("hidden"));
+  while (r.Token(&token, "hidden widths").ok() && token != "spectral") {
+    std::size_t width = 0;
+    const char* end = token.data() + token.size();
+    if (std::from_chars(token.data(), end, width).ptr != end || width == 0) {
+      return r.Fail("bad hidden width '" + token + "'");
+    }
+    config.hidden_dims.push_back(width);
   }
-  config.spectral.enabled = spectral_enabled != 0;
+  if (token != "spectral") return r.Fail("truncated hidden widths");
+  if (config.input_dim == 0 || config.num_classes < 2) {
+    return r.Fail("invalid dimensions");
+  }
+  FACTION_RETURN_IF_ERROR(r.Read(&config.spectral.enabled, "spectral flag"));
+  FACTION_RETURN_IF_ERROR(r.Read(&config.spectral.coeff, "spectral coeff"));
+  FACTION_RETURN_IF_ERROR(
+      r.Read(&config.spectral.power_iterations, "power_iterations"));
 
-  std::size_t tensor_count = 0;
-  if (!(is >> key >> tensor_count) || key != "tensors") {
-    return LoadFail(is, source, "missing tensor count");
+  // Read every tensor against the shape the architecture implies before
+  // building the model, so a corrupt width cannot size an allocation.
+  const auto shapes = ParameterShapes(config);
+  std::vector<Matrix> tensors(shapes.size());
+  std::size_t count = 0;
+  FACTION_RETURN_IF_ERROR(r.Expect("tensors"));
+  FACTION_RETURN_IF_ERROR(r.Read(&count, "tensor count"));
+  if (count != tensors.size()) {
+    return r.Fail("tensor count " + std::to_string(count) +
+                  " does not match architecture (" +
+                  std::to_string(tensors.size()) + ")");
+  }
+  for (std::size_t t = 0; t < count; ++t) {
+    const auto [rows, cols] = shapes[t];
+    std::size_t r_in = 0, c_in = 0;
+    FACTION_RETURN_IF_ERROR(r.Read(&r_in, "tensor rows"));
+    FACTION_RETURN_IF_ERROR(r.Read(&c_in, "tensor cols"));
+    if (r_in != rows || c_in != cols) return r.Fail("tensor shape mismatch");
+    if (rows > std::numeric_limits<std::size_t>::max() / cols) {
+      return r.Fail("oversized tensor");
+    }
+    FACTION_RETURN_IF_ERROR(r.ExpectRoom(rows * cols, "tensor"));
+    tensors[t].ResizeForOverwrite(rows, cols);
+    for (std::size_t i = 0; i < rows * cols; ++i) {
+      double& v = tensors[t].data()[i];
+      FACTION_RETURN_IF_ERROR(r.Read(&v, "tensor value"));
+      // Matching SaveModel's contract, infinities are rejected too.
+      if (!std::isfinite(v)) return r.Fail("non-finite tensor value");
+    }
   }
   Rng rng(0);  // initialization is immediately overwritten
   MlpClassifier model(config, &rng);
   const std::vector<Matrix*> params = model.Parameters();
-  if (params.size() != tensor_count) {
-    return LoadFail(is, source,
-                    "tensor count " + std::to_string(tensor_count) +
-                        " does not match architecture (" +
-                        std::to_string(params.size()) + ")");
-  }
-  for (Matrix* p : params) {
-    std::size_t rows = 0, cols = 0;
-    if (!(is >> rows >> cols) || rows != p->rows() || cols != p->cols()) {
-      return LoadFail(is, source, "tensor shape mismatch");
-    }
-    for (std::size_t i = 0; i < p->size(); ++i) {
-      // strtod-based parse handles both the v1 decimal and the v2 hexfloat
-      // payloads (istream operator>> cannot parse hexfloat portably).
-      FACTION_RETURN_IF_ERROR(ReadDoubleToken(is, source, &p->data()[i]));
-    }
+  for (std::size_t t = 0; t < params.size(); ++t) {
+    *params[t] = std::move(tensors[t]);
   }
   return model;
 }

@@ -21,10 +21,10 @@ namespace faction {
 /// serialize into a checkpoint no loader can read.
 Status SaveModel(const MlpClassifier& model, std::ostream& os);
 
-/// Reads a model back; accepts the current v2 (hexfloat) and the legacy v1
-/// (decimal) payloads. Fails with a descriptive status on format or
-/// version mismatches and on non-finite tensor values; v2 parameters are
-/// restored bit-for-bit. `source` names the stream in error messages (the
+/// Reads a v2 model back, parameters bit-for-bit. Fails with a descriptive
+/// status on format or version mismatches (only v2 is readable), on tensor
+/// shapes that disagree with the stored architecture, and on non-finite
+/// tensor values. `source` names the stream in error messages (the
 /// file path, or any logical label); every parse failure also reports the
 /// byte offset where reading stopped, so a truncated or corrupted
 /// checkpoint points at its own damage.

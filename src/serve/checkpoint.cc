@@ -14,6 +14,7 @@
 #include "common/fsio.h"
 #include "common/logging.h"
 #include "common/telemetry.h"
+#include "common/token_reader.h"
 #include "serve/job_system.h"
 #include "serve/session.h"
 
@@ -193,24 +194,19 @@ Result<std::vector<CheckpointManifestEntry>> CheckpointManager::ReadManifest(
   if (!is.is_open()) {
     return Status::NotFound("ReadManifest: cannot open " + path);
   }
-  std::string word1, word2;
-  if (!(is >> word1 >> word2) || word1 != "faction-manifest" ||
-      word2 != "v1") {
-    return Status::InvalidArgument("ReadManifest: bad magic header in " +
-                                   path);
-  }
+  TokenReader r(is, "ReadManifest", path);
+  FACTION_RETURN_IF_ERROR(r.Expect("faction-manifest"));
+  FACTION_RETURN_IF_ERROR(r.Expect("v1"));
+  FACTION_RETURN_IF_ERROR(r.Expect("sessions"));
   std::size_t count = 0;
-  if (!(is >> word1 >> count) || word1 != "sessions") {
-    return Status::InvalidArgument("ReadManifest: bad session count in " +
-                                   path);
-  }
+  FACTION_RETURN_IF_ERROR(r.Read(&count, "session count"));
+  FACTION_RETURN_IF_ERROR(r.ExpectRoom(count, "session count"));
   std::vector<CheckpointManifestEntry> entries(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    CheckpointManifestEntry& e = entries[i];
-    if (!(is >> e.stream_id >> e.generation >> e.steps >> e.filename)) {
-      return Status::InvalidArgument("ReadManifest: truncated entry in " +
-                                     path);
-    }
+  for (CheckpointManifestEntry& e : entries) {
+    FACTION_RETURN_IF_ERROR(r.Read(&e.stream_id, "manifest entry"));
+    FACTION_RETURN_IF_ERROR(r.Read(&e.generation, "manifest entry"));
+    FACTION_RETURN_IF_ERROR(r.Read(&e.steps, "manifest entry"));
+    FACTION_RETURN_IF_ERROR(r.Token(&e.filename, "manifest entry"));
   }
   return entries;
 }

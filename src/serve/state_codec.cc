@@ -1,26 +1,125 @@
 // FACTION_HOT: CaptureSessionState runs on the serve dispatch path (the
 // drain holder flips a snapshot buffer between drains), so this TU opts
-// into the no-alloc-in-hot gate. Everything else — encode, decode,
-// restore, the standalone pipeline codecs — is cold and fenced.
+// into the no-alloc-in-hot gate. Everything else — restore, the field
+// lists, encode and decode — is cold and fenced.
 
 #include "serve/state_codec.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <type_traits>
 #include <utility>
 
-#include "common/check.h"
-#include "common/workspace.h"
+#include "common/token_reader.h"
 #include "data/dataset.h"
 #include "nn/linear.h"
 #include "nn/mlp.h"
 
 namespace faction {
+
+// FACTION_COLD_BEGIN (restore-time validation)
+namespace {
+
+/// True when `params` has exactly the shapes the learner built from
+/// `model` holds.
+bool TensorShapesMatch(const MlpConfig& model,
+                       const std::vector<Matrix>& params) {
+  const auto shapes = ParameterShapes(model);
+  if (shapes.size() != params.size()) return false;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    if (params[i].rows() != shapes[i].first ||
+        params[i].cols() != shapes[i].second) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Rejects snapshot content that decodes cleanly but that the learner
+/// would abort on after restore: out-of-domain labels trip the loss CHECKs
+/// at the next refit, and a ring entry the density snapshot never absorbed
+/// (or whose weight exceeds the mass its component still carries) trips
+/// the downdate CHECKs at the next eviction. Runs before the learner is
+/// touched.
+Status CheckRestorable(const SessionState& s) {
+  const auto fail = [](const char* what) {
+    return Status::InvalidArgument(std::string("RestoreSessionState: ") +
+                                   what);
+  };
+  // The domain Dataset::Append admits (and the density's cells cover).
+  const auto in_domain = [](const std::vector<int>& labels,
+                            const std::vector<int>& sensitive) {
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      if (labels[i] < 0 || labels[i] >= FairDensityEstimator::kNumClasses ||
+          (sensitive[i] != 1 && sensitive[i] != -1)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const MlpConfig& model = s.config.model;
+  if (!TensorShapesMatch(model, s.params) ||
+      s.layers.size() != model.hidden_dims.size() + 1) {
+    return fail("model tensors do not match the architecture");
+  }
+  const std::size_t n = s.pool_size, rn = s.ring_size;
+  if (s.pool_features.rows() != n || s.pool_labels.size() != n ||
+      s.pool_sensitive.size() != n || s.pool_environments.size() != n ||
+      (n > 0 && s.pool_features.cols() != model.input_dim)) {
+    return fail("inconsistent pool section");
+  }
+  if (s.ring_label.size() != rn || s.ring_sensitive.size() != rn ||
+      s.ring_weight.size() != rn || s.ring_z.rows() != rn) {
+    return fail("inconsistent ring section");
+  }
+  if (!in_domain(s.pool_labels, s.pool_sensitive) ||
+      !in_domain(s.ring_label, s.ring_sensitive)) {
+    return fail("label or sensitive value out of domain");
+  }
+
+  const DensitySnapshot& d = s.density;
+  if (!d.has_value) return Status::Ok();  // the ring waits for a refit
+  const std::size_t feature_dim =
+      model.hidden_dims.empty() ? model.input_dim : model.hidden_dims.back();
+  if (d.dim != feature_dim || rn > d.total) {
+    return fail("density does not match the model or the ring");
+  }
+  // Replay the evictions the ring will drive: each entry must hit a
+  // present cell that still counts it, and every downdate that leaves the
+  // component alive must leave it positive mass (the last row of a cell
+  // drops the component instead of downdating it).
+  std::array<std::size_t, DensitySnapshot::kCells> left_rows = d.counts;
+  std::array<double, DensitySnapshot::kCells> left_mass = {};
+  for (int c = 0; c < DensitySnapshot::kCells; ++c) {
+    if (!d.present[c]) continue;
+    if (d.components[c].count != d.counts[c]) {
+      return fail("density cell count differs from its component's");
+    }
+    left_mass[c] = d.components[c].weight;
+  }
+  for (std::size_t i = 0; i < rn; ++i) {
+    const int c = FairDensityEstimator::ComponentIndex(s.ring_label[i],
+                                                       s.ring_sensitive[i]);
+    const double w = s.ring_weight[i];
+    if (!d.present[c] || left_rows[c] == 0 || !(w > 0.0) ||
+        !std::isfinite(w)) {
+      return fail("ring entry the density cannot release");
+    }
+    if (--left_rows[c] > 0 && !((left_mass[c] -= w) > 0.0)) {
+      return fail("ring weights exceed the density component's mass");
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+// FACTION_COLD_END
 
 /// The single befriended accessor: every read or write of private
 /// checkpointed state funnels through these static helpers, so the set of
@@ -83,13 +182,11 @@ struct StateCodecAccess {
     const std::size_t num_linear = model.hidden_.size() + 1;
     out->params.resize(2 * num_linear);
     out->layers.resize(num_linear);
-    for (std::size_t i = 0; i < model.hidden_.size(); ++i) {
-      CaptureLinear(*model.hidden_[i], &out->params[2 * i],
-                    &out->params[2 * i + 1], &out->layers[i]);
+    for (std::size_t i = 0; i < num_linear; ++i) {
+      CaptureLinear(i < model.hidden_.size() ? *model.hidden_[i] : *model.head_,
+                    &out->params[2 * i], &out->params[2 * i + 1],
+                    &out->layers[i]);
     }
-    CaptureLinear(*model.head_, &out->params[2 * num_linear - 2],
-                  &out->params[2 * num_linear - 1],
-                  &out->layers[num_linear - 1]);
 
     // Pool: read features_ directly — features() would compact the matrix
     // and discard the spare rows the zero-alloc steady state depends on.
@@ -146,16 +243,8 @@ struct StateCodecAccess {
 
   // FACTION_COLD_BEGIN (restore: warm-start path, may allocate freely)
 
-  static Status RestoreLinear(const LinearSnapshot& snap, const Matrix& w,
-                              const Matrix& b, Linear* layer) {
-    if (w.rows() != layer->w_.rows() || w.cols() != layer->w_.cols()) {
-      return Status::InvalidArgument(
-          "RestoreSessionState: layer weight shape mismatch");
-    }
-    if (b.rows() != layer->b_.rows() || b.cols() != layer->b_.cols()) {
-      return Status::InvalidArgument(
-          "RestoreSessionState: layer bias shape mismatch");
-    }
+  static void RestoreLinear(const LinearSnapshot& snap, const Matrix& w,
+                            const Matrix& b, Linear* layer) {
     layer->w_ = w;
     layer->b_ = b;
     layer->scale_ = snap.scale;
@@ -164,7 +253,6 @@ struct StateCodecAccess {
     layer->sn_est_.u = snap.sn_u;
     layer->sn_est_.v = snap.sn_v;
     layer->sn_rng_.RestoreState(snap.sn_rng);
-    return Status::Ok();
   }
 
   static Status RestoreDensityImpl(const DensitySnapshot& snap,
@@ -185,18 +273,12 @@ struct StateCodecAccess {
     est.total_ = snap.total;
     est.wtotal_ = snap.wtotal;
     est.components_.resize(kCells);
-    est.present_.assign(kCells, false);
-    est.counts_.assign(kCells, 0);
-    est.wcounts_.assign(kCells, 0.0);
-    est.weights_.assign(kCells, 0.0);
-    est.log_weights_.assign(kCells,
-                            -std::numeric_limits<double>::infinity());
+    est.present_.assign(snap.present.begin(), snap.present.end());
+    est.counts_.assign(snap.counts.begin(), snap.counts.end());
+    est.wcounts_.assign(snap.wcounts.begin(), snap.wcounts.end());
+    est.weights_.assign(snap.weights.begin(), snap.weights.end());
+    est.log_weights_.assign(snap.log_weights.begin(), snap.log_weights.end());
     for (int c = 0; c < kCells; ++c) {
-      est.present_[c] = snap.present[c];
-      est.counts_[c] = snap.counts[c];
-      est.wcounts_[c] = snap.wcounts[c];
-      est.weights_[c] = snap.weights[c];
-      est.log_weights_[c] = snap.log_weights[c];
       if (!snap.present[c]) continue;
       const GaussianSnapshot& gs = snap.components[c];
       const std::size_t d = snap.dim;
@@ -252,57 +334,39 @@ struct StateCodecAccess {
           "RestoreSessionState: density_window differs from the captured "
           "config; construct the learner from state.config");
     }
+    FACTION_RETURN_IF_ERROR(CheckRestorable(s));
+    if (s.ring_size > f->ring_label_.size() ||
+        (s.ring_size > 0 && s.ring_z.cols() != f->ring_z_.cols())) {
+      return Status::InvalidArgument(
+          "RestoreSessionState: ring exceeds the configured density_window");
+    }
+    std::optional<FairDensityEstimator> density;
+    FACTION_RETURN_IF_ERROR(
+        RestoreDensityImpl(s.density, f->config_.covariance, &density));
 
     MlpClassifier& model = *f->model_;
     const std::size_t num_linear = model.hidden_.size() + 1;
-    if (s.params.size() != 2 * num_linear || s.layers.size() != num_linear) {
-      return Status::InvalidArgument(
-          "RestoreSessionState: parameter tensor count mismatch");
+    for (std::size_t i = 0; i < num_linear; ++i) {
+      RestoreLinear(s.layers[i], s.params[2 * i], s.params[2 * i + 1],
+                    i < model.hidden_.size() ? model.hidden_[i].get()
+                                             : model.head_.get());
     }
-    for (std::size_t i = 0; i < model.hidden_.size(); ++i) {
-      FACTION_RETURN_IF_ERROR(RestoreLinear(s.layers[i], s.params[2 * i],
-                                            s.params[2 * i + 1],
-                                            model.hidden_[i].get()));
-    }
-    FACTION_RETURN_IF_ERROR(
-        RestoreLinear(s.layers[num_linear - 1], s.params[2 * num_linear - 2],
-                      s.params[2 * num_linear - 1], model.head_.get()));
 
     f->rng_.RestoreState(s.rng);
 
     // Pool. The snapshot's feature matrix holds exactly pool_size valid
     // rows; Reserve() re-grows the spare rows the steady state expects.
-    const std::size_t n = s.pool_size;
-    if (s.pool_features.rows() != n || s.pool_labels.size() != n ||
-        s.pool_sensitive.size() != n || s.pool_environments.size() != n ||
-        (n > 0 && s.pool_features.cols() != model_cfg.input_dim)) {
-      return Status::InvalidArgument(
-          "RestoreSessionState: inconsistent pool section");
-    }
     Dataset& pool = f->pool_;
     pool.dim_ = model_cfg.input_dim;
     pool.features_ = s.pool_features;
     pool.labels_ = s.pool_labels;
     pool.sensitive_ = s.pool_sensitive;
     pool.environments_ = s.pool_environments;
-    pool.Reserve(n + f->config_.refit_interval + 1);
+    pool.Reserve(s.pool_size + f->config_.refit_interval + 1);
 
     // Ring: slots were canonicalized oldest-first at capture; rebuild with
     // ring_start_ = 0 into the pre-sized ring (allocated by the ctor when
     // density_window > 0).
-    const std::size_t cap = f->ring_label_.size();
-    if (s.ring_size > cap ||
-        (s.ring_size > 0 && s.ring_z.cols() != f->ring_z_.cols())) {
-      return Status::InvalidArgument(
-          "RestoreSessionState: ring exceeds the configured density_window");
-    }
-    if (s.ring_label.size() != s.ring_size ||
-        s.ring_sensitive.size() != s.ring_size ||
-        s.ring_weight.size() != s.ring_size ||
-        s.ring_z.rows() != s.ring_size) {
-      return Status::InvalidArgument(
-          "RestoreSessionState: inconsistent ring section");
-    }
     for (std::size_t i = 0; i < s.ring_size; ++i) {
       std::copy(s.ring_z.row_data(i), s.ring_z.row_data(i) + s.ring_z.cols(),
                 f->ring_z_.row_data(i));
@@ -313,8 +377,7 @@ struct StateCodecAccess {
     f->ring_start_ = 0;
     f->ring_size_ = s.ring_size;
 
-    FACTION_RETURN_IF_ERROR(RestoreDensityImpl(
-        s.density, f->config_.covariance, &f->estimator_));
+    f->estimator_ = std::move(density);
 
     f->normalizer_.RestoreState(s.norm_count, s.norm_min, s.norm_max);
     f->seen_ = s.seen;
@@ -332,44 +395,6 @@ struct StateCodecAccess {
     }
     return Status::Ok();
   }
-
-  // ------------------------------------------- standalone pipeline state
-
-  static void CaptureDrift(const DriftDetector& d, DriftDetectorState* out) {
-    out->n = d.stats_.n_;
-    out->mean = d.stats_.mean_;
-    out->m2 = d.stats_.m2_;
-    out->cooldown_remaining = d.cooldown_remaining_;
-  }
-
-  static void RestoreDrift(const DriftDetectorState& s, DriftDetector* d) {
-    d->stats_.n_ = s.n;
-    d->stats_.mean_ = s.mean;
-    d->stats_.m2_ = s.m2;
-    d->cooldown_remaining_ = s.cooldown_remaining;
-  }
-
-  static void CaptureBandit(const BanditStrategy& b, BanditState* out) {
-    out->pulls = b.pulls_;
-    out->reward_sum = b.reward_sum_;
-  }
-
-  static void RestoreBandit(const BanditState& s, BanditStrategy* b) {
-    b->pulls_ = s.pulls;
-    b->reward_sum_ = s.reward_sum;
-  }
-
-  static void CaptureDisentangled(const DisentangledStrategy& d,
-                                  DisentangledState* out) {
-    out->global = d.global_;
-    out->deltas = d.deltas_;
-  }
-
-  static void RestoreDisentangled(const DisentangledState& s,
-                                  DisentangledStrategy* d) {
-    d->global_ = s.global;
-    d->deltas_ = s.deltas;
-  }
   // FACTION_COLD_END
 };
 
@@ -377,8 +402,8 @@ void CaptureSessionState(const StreamingFaction& faction, SessionState* out) {
   StateCodecAccess::Capture(faction, out);
 }
 
-// FACTION_COLD_BEGIN (encode / decode / restore: background jobs and
-// warm-start only — never on the dispatch path)
+// FACTION_COLD_BEGIN (field lists, encode / decode / restore: background
+// jobs and warm-start only — never on the dispatch path)
 
 Status RestoreSessionState(const SessionState& state,
                            StreamingFaction* faction) {
@@ -393,536 +418,353 @@ Status RestoreDensity(const DensitySnapshot& snapshot,
 
 namespace {
 
-constexpr char kSessionMagic[] = "faction-session v1";
-constexpr char kDriftMagic[] = "faction-drift v1";
-constexpr char kBanditMagic[] = "faction-bandit v1";
-constexpr char kDisentangledMagic[] = "faction-disentangled v1";
+// Size guards the decoder enforces before it allocates.
+constexpr std::size_t kMaxVector = std::size_t{1} << 24;
+constexpr std::size_t kMaxMatrixDim = std::size_t{1} << 20;
+constexpr std::size_t kMaxHiddenLayers = 1024;
 
-// ----------------------------------------------------------------- encode
+// ---------------------------------------------------------------- archives
+//
+// A field list calls, in format order:
+//   Section(tag)        a tag that starts a line; later failures name it;
+//   Tag(word)           a literal word on the current line;
+//   Line()              a line break (layout only; the decoder ignores it);
+//   Fields(x...)        scalars: bools as 0/1, integers, hexfloat doubles;
+//   Enum(e, last)       an enum as its integer, decoded only in [0, last];
+//   Count(v, max)       a container's size; the decoder caps and resizes;
+//   Column(v, n)        the n values of v, sized by a count read earlier;
+//   Rows(m, r, c)       the first r*c values of matrix m, no header;
+//   Check(ok, problem)  decoder only: a cross-field check.
+// The writer prints exactly what the decoder reads, so one list per type
+// is the whole format.
 
-void PutDouble(std::ostream& os, double v) {
-  // Hexfloat round-trips every finite double bit-for-bit (nn/serialize.cc
-  // idiom). The infinities print as "inf"/"-inf", which the reader accepts
-  // — log_weights_ carries -inf for zero-mass mixture cells. snprintf %a
-  // rather than iostream hexfloat: the serializer runs on the shared job
-  // system next to drain work, and printf formatting is several times
-  // cheaper than the locale-aware ostream path for the same bytes.
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof(buf), " %a", v);
-  os.write(buf, n);
-}
-
-void PutDoubles(std::ostream& os, const double* v, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) PutDouble(os, v[i]);
-}
-
-void PutVector(std::ostream& os, const std::vector<double>& v) {
-  os << v.size();
-  PutDoubles(os, v.data(), v.size());
-}
-
-void PutInts(std::ostream& os, const std::vector<int>& v) {
-  for (const int x : v) os << ' ' << x;
-}
-
-void PutRngState(std::ostream& os, const Rng::State& s) {
-  os << s.s[0] << ' ' << s.s[1] << ' ' << s.s[2] << ' ' << s.s[3] << ' '
-     << (s.have_cached_gaussian ? 1 : 0);
-  PutDouble(os, s.cached_gaussian);
-}
-
-void PutMatrix(std::ostream& os, const Matrix& m) {
-  os << m.rows() << ' ' << m.cols();
-  PutDoubles(os, m.data(), m.rows() * m.cols());
-  os << '\n';
-}
-
-void PutGaussian(std::ostream& os, const GaussianSnapshot& g) {
-  os << "gaussian " << g.count;
-  PutDouble(os, g.weight);
-  PutDouble(os, g.ridge);
-  PutDouble(os, g.log_det);
-  os << ' ' << (g.forgetting ? 1 : 0) << '\n';
-  os << "mean ";
-  PutVector(os, g.mean);
-  os << "\nsum ";
-  PutVector(os, g.sum);
-  os << "\nchol ";
-  PutMatrix(os, g.chol);
-  os << "scatter ";
-  PutMatrix(os, g.scatter);
-}
-
-// ----------------------------------------------------------------- decode
-
-/// Token-stream reader over an istream; every failure names the source and
-/// the byte offset where parsing stopped.
-class TokenReader {
+/// Prints into the reused output string. Doubles use %a, which
+/// round-trips every finite double bit-for-bit; the infinities print as
+/// "inf"/"-inf", which the decoder accepts (log_weights holds -inf for
+/// zero-mass cells). printf formatting is several times cheaper than a
+/// locale-aware ostream, and the serializer shares the job system with
+/// drain work.
+class TextWriter {
  public:
-  TokenReader(std::istream& is, const std::string& source)
-      : is_(is), source_(source) {}
+  explicit TextWriter(std::string* out) : out_(*out) { out_.clear(); }
 
-  Status Fail(const std::string& what) {
-    // A failed extraction sets failbit, under which tellg() returns -1;
-    // clear first so the offset points at the stream position reached.
-    is_.clear();
-    const std::streamoff pos = static_cast<std::streamoff>(is_.tellg());
-    std::string msg = "DecodeSessionState: " + what + " in " + source_;
-    if (pos >= 0) {
-      msg += " @byte " + std::to_string(static_cast<long long>(pos));
+  void Section(const char* tag) {
+    Line();
+    out_ += tag;
+  }
+  void Tag(const char* word) { Put(word, std::strlen(word)); }
+  void Line() {
+    if (!out_.empty() && out_.back() != '\n') out_ += '\n';
+  }
+  template <class... T>
+  void Fields(const T&... v) {
+    (Field(v), ...);
+  }
+  template <class E>
+  void Enum(const E& e, E /*last*/) {
+    Field(static_cast<int>(e));
+  }
+  template <class C>
+  void Count(const C& c, std::size_t /*max*/) {
+    Field(c.size());
+  }
+  template <class C>
+  void Column(const C& c, std::size_t /*n*/) {
+    for (const auto& x : c) Field(x);
+  }
+  void Rows(const Matrix& m, std::size_t rows, std::size_t cols) {
+    for (std::size_t i = 0; i < rows * cols; ++i) Field(m.data()[i]);
+  }
+  void Check(bool, const char*) {}
+
+ private:
+  template <class T>
+  void Field(const T& v) {
+    char buf[32];
+    if constexpr (std::is_same_v<T, bool>) {
+      Put(v ? "1" : "0", 1);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      Put(buf, static_cast<std::size_t>(
+                   std::snprintf(buf, sizeof(buf), "%a", double{v})));
+    } else {
+      Put(buf, static_cast<std::size_t>(
+                   std::to_chars(buf, buf + sizeof(buf), v).ptr - buf));
     }
-    return Status::InvalidArgument(std::move(msg));
+  }
+  void Put(const char* token, std::size_t n) {
+    if (!out_.empty() && out_.back() != '\n') out_ += ' ';
+    out_.append(token, n);
   }
 
-  Status Token(std::string* out, const char* what) {
-    if (!(is_ >> *out)) return Fail(std::string("truncated ") + what);
-    return Status::Ok();
-  }
+  std::string& out_;
+};
 
-  Status Expect(const char* tag) {
-    FACTION_RETURN_IF_ERROR(Token(&tok_, tag));
-    if (tok_ != tag) {
-      return Fail(std::string("expected '") + tag + "', got '" + tok_ + "'");
-    }
-    return Status::Ok();
-  }
+/// Decodes over the shared TokenReader. The first failure sticks and
+/// turns every later call into a no-op, so a field list runs straight
+/// through and the caller reads status() once.
+class TextReader {
+ public:
+  TextReader(std::istream& is, const std::string& source)
+      : reader_(is, "DecodeSessionState", source) {}
 
-  Status ReadU64(std::uint64_t* out, const char* what) {
-    if (!(is_ >> *out)) return Fail(std::string("bad ") + what);
-    return Status::Ok();
-  }
+  const Status& status() const { return status_; }
 
-  Status ReadSize(std::size_t* out, const char* what) {
-    if (!(is_ >> *out)) return Fail(std::string("bad ") + what);
-    return Status::Ok();
+  void Section(const char* tag) {
+    section_ = tag;
+    Tag(tag);
   }
-
-  Status ReadInt(int* out, const char* what) {
-    if (!(is_ >> *out)) return Fail(std::string("bad ") + what);
-    return Status::Ok();
+  void Tag(const char* word) {
+    if (status_.ok()) Keep(reader_.Expect(word));
   }
-
-  Status ReadBool(bool* out, const char* what) {
-    int v = 0;
-    FACTION_RETURN_IF_ERROR(ReadInt(&v, what));
-    if (v != 0 && v != 1) return Fail(std::string("non-boolean ") + what);
-    *out = (v == 1);
-    return Status::Ok();
+  void Line() {}
+  template <class... T>
+  void Fields(T&... v) {
+    (Field(v), ...);
   }
-
-  /// Parses one double token via strtod: accepts hexfloat and the
-  /// infinities (mixture log-weights are -inf at zero mass), rejects NaN
-  /// and trailing garbage.
-  Status ReadDouble(double* out, const char* what) {
-    FACTION_RETURN_IF_ERROR(Token(&tok_, what));
-    const char* begin = tok_.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0') {
-      return Fail(std::string("bad ") + what + " '" + tok_ + "'");
-    }
-    if (std::isnan(v)) {
-      return Fail(std::string("non-finite ") + what + " '" + tok_ + "'");
-    }
-    *out = v;
-    return Status::Ok();
+  template <class E>
+  void Enum(E& e, E last) {
+    int raw = 0;
+    Field(raw);
+    Check(raw >= 0 && raw <= static_cast<int>(last), "has an unknown enum");
+    if (status_.ok()) e = static_cast<E>(raw);
   }
-
-  Status ReadDoubles(double* out, std::size_t n, const char* what) {
-    for (std::size_t i = 0; i < n; ++i) {
-      FACTION_RETURN_IF_ERROR(ReadDouble(&out[i], what));
-    }
-    return Status::Ok();
-  }
-
-  Status ReadVector(std::vector<double>* out, const char* what,
-                    std::size_t max_len = 1u << 24) {
+  template <class C>
+  void Count(C& c, std::size_t max) {
     std::size_t n = 0;
-    FACTION_RETURN_IF_ERROR(ReadSize(&n, what));
-    if (n > max_len) return Fail(std::string("oversized ") + what);
-    out->resize(n);
-    return ReadDoubles(out->data(), n, what);
+    Field(n);
+    Check(n <= max, "count is oversized");
+    Resize(c, n);
   }
-
-  Status ReadInts(std::vector<int>* out, std::size_t n, const char* what) {
-    out->resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      FACTION_RETURN_IF_ERROR(ReadInt(&(*out)[i], what));
+  template <class C>
+  void Column(C& c, std::size_t n) {
+    Resize(c, n);
+    for (auto& x : c) Field(x);
+  }
+  void Rows(Matrix& m, std::size_t rows, std::size_t cols) {
+    Check(cols == 0 || rows <= std::numeric_limits<std::size_t>::max() / cols,
+          "matrix is oversized");
+    if (status_.ok()) Keep(reader_.ExpectRoom(rows * cols, section_));
+    if (!status_.ok()) return;
+    m.ResizeForOverwrite(rows, cols);
+    for (std::size_t i = 0; i < rows * cols; ++i) Field(m.data()[i]);
+  }
+  void Check(bool ok, const char* problem) {
+    if (status_.ok() && !ok) {
+      status_ = reader_.Fail(std::string(section_) + " " + problem);
     }
-    return Status::Ok();
-  }
-
-  Status ReadRngState(Rng::State* out, const char* what) {
-    for (int i = 0; i < 4; ++i) {
-      FACTION_RETURN_IF_ERROR(ReadU64(&out->s[i], what));
-    }
-    FACTION_RETURN_IF_ERROR(ReadBool(&out->have_cached_gaussian, what));
-    return ReadDouble(&out->cached_gaussian, what);
-  }
-
-  Status ReadMatrix(Matrix* out, const char* what,
-                    std::size_t max_dim = 1u << 20) {
-    std::size_t r = 0, c = 0;
-    FACTION_RETURN_IF_ERROR(ReadSize(&r, what));
-    FACTION_RETURN_IF_ERROR(ReadSize(&c, what));
-    if (r > max_dim || c > max_dim || (c != 0 && r > max_dim / c + 1)) {
-      return Fail(std::string("oversized ") + what);
-    }
-    out->ResizeForOverwrite(r, c);
-    return ReadDoubles(out->data(), r * c, what);
-  }
-
-  Status ReadGaussian(GaussianSnapshot* out) {
-    FACTION_RETURN_IF_ERROR(Expect("gaussian"));
-    FACTION_RETURN_IF_ERROR(ReadSize(&out->count, "gaussian count"));
-    FACTION_RETURN_IF_ERROR(ReadDouble(&out->weight, "gaussian weight"));
-    FACTION_RETURN_IF_ERROR(ReadDouble(&out->ridge, "gaussian ridge"));
-    FACTION_RETURN_IF_ERROR(ReadDouble(&out->log_det, "gaussian log_det"));
-    FACTION_RETURN_IF_ERROR(
-        ReadBool(&out->forgetting, "gaussian forgetting flag"));
-    FACTION_RETURN_IF_ERROR(Expect("mean"));
-    FACTION_RETURN_IF_ERROR(ReadVector(&out->mean, "gaussian mean"));
-    FACTION_RETURN_IF_ERROR(Expect("sum"));
-    FACTION_RETURN_IF_ERROR(ReadVector(&out->sum, "gaussian sum"));
-    FACTION_RETURN_IF_ERROR(Expect("chol"));
-    FACTION_RETURN_IF_ERROR(ReadMatrix(&out->chol, "gaussian factor"));
-    FACTION_RETURN_IF_ERROR(Expect("scatter"));
-    return ReadMatrix(&out->scatter, "gaussian scatter");
-  }
-
-  Status ExpectMagic(const char* word1, const char* word2) {
-    FACTION_RETURN_IF_ERROR(Token(&tok_, "magic header"));
-    std::string second;
-    FACTION_RETURN_IF_ERROR(Token(&second, "magic header"));
-    if (tok_ != word1 || second != word2) {
-      return Fail("bad magic header '" + tok_ + " " + second + "'");
-    }
-    return Status::Ok();
   }
 
  private:
-  std::istream& is_;
-  std::string source_;
-  std::string tok_;
+  template <class T>
+  void Field(T& v) {
+    if (status_.ok()) Keep(reader_.Read(&v, section_));
+  }
+  template <class C>
+  void Resize(C& c, std::size_t n) {
+    if (status_.ok()) Keep(reader_.ExpectRoom(n, section_));
+    if (status_.ok()) c.resize(n);
+  }
+  void Keep(Status s) {
+    if (!s.ok()) status_ = std::move(s);
+  }
+
+  TokenReader reader_;
+  Status status_;
+  const char* section_ = "header";
 };
+
+// ------------------------------------------------------------- field lists
+//
+// One Visit per snapshot type; S is the type itself (decode) or its const
+// form (encode).
+
+template <class S, class T>
+concept Snapshot = std::same_as<std::remove_const_t<S>, T>;
+
+template <class Ar, class V>
+void VisitVector(Ar& ar, V& v) {
+  ar.Count(v, kMaxVector);
+  for (auto& x : v) ar.Fields(x);
+}
+
+template <class Ar, Snapshot<Matrix> M>
+void VisitMatrix(Ar& ar, M& m) {
+  std::size_t rows = m.rows(), cols = m.cols();
+  ar.Fields(rows, cols);
+  ar.Check(rows <= kMaxMatrixDim && cols <= kMaxMatrixDim &&
+               (cols == 0 || rows <= kMaxMatrixDim / cols + 1),
+           "matrix is oversized");
+  ar.Rows(m, rows, cols);
+}
+
+template <class Ar, Snapshot<Rng::State> S>
+void Visit(Ar& ar, S& s) {
+  ar.Fields(s.s[0], s.s[1], s.s[2], s.s[3], s.have_cached_gaussian,
+            s.cached_gaussian);
+}
+
+template <class Ar, Snapshot<CovarianceConfig> S>
+void Visit(Ar& ar, S& c) {
+  ar.Section("covariance");
+  ar.Fields(c.shrinkage, c.jitter, c.max_jitter_doublings, c.forgetting,
+            c.ridge);
+}
+
+template <class Ar, Snapshot<MlpConfig> S>
+void Visit(Ar& ar, S& c) {
+  ar.Section("model");
+  ar.Fields(c.input_dim, c.num_classes);
+  // MlpClassifier CHECKs num_classes; zero widths would let a corrupt
+  // dimension size the learner's buffers without any data behind it.
+  ar.Check(c.input_dim > 0 && c.num_classes >= 2, "dimensions are invalid");
+  ar.Count(c.hidden_dims, kMaxHiddenLayers);
+  for (auto& width : c.hidden_dims) {
+    ar.Fields(width);
+    ar.Check(width > 0, "width is zero");
+  }
+  ar.Section("spectral");
+  ar.Fields(c.spectral.enabled, c.spectral.coeff,
+            c.spectral.power_iterations);
+}
+
+template <class Ar, Snapshot<TrainConfig> S>
+void Visit(Ar& ar, S& t) {
+  ar.Section("train");
+  ar.Fields(t.epochs, t.batch_size, t.learning_rate, t.momentum,
+            t.weight_decay, t.use_fairness_penalty);
+  ar.Enum(t.fairness.notion, FairnessNotion::kDeo);
+  ar.Fields(t.fairness.mu, t.fairness.epsilon, t.fairness.symmetric,
+            t.use_individual_penalty, t.individual.weight,
+            t.individual.bandwidth, t.individual.similarity_cutoff,
+            t.individual.max_pairs);
+}
+
+template <class Ar, Snapshot<StreamingFactionConfig> S>
+void Visit(Ar& ar, S& c) {
+  ar.Section("config");
+  ar.Fields(c.lambda, c.alpha, c.warm_start, c.burn_in, c.refit_interval,
+            c.incremental_density, c.density_window, c.density_decay,
+            c.seed);
+  // The StreamingFaction constructor CHECKs this range.
+  ar.Check(c.density_decay > 0.0 && c.density_decay <= 1.0,
+           "density_decay is outside (0, 1]");
+  Visit(ar, c.covariance);
+  Visit(ar, c.model);
+  Visit(ar, c.train);
+}
+
+template <class Ar, Snapshot<LinearSnapshot> S>
+void Visit(Ar& ar, S& l) {
+  ar.Line();
+  ar.Fields(l.scale, l.sigma, l.sn_sigma);
+  VisitVector(ar, l.sn_u);
+  VisitVector(ar, l.sn_v);
+  Visit(ar, l.sn_rng);
+}
+
+template <class Ar, Snapshot<GaussianSnapshot> S>
+void Visit(Ar& ar, S& g) {
+  ar.Section("gaussian");
+  ar.Fields(g.count, g.weight, g.ridge, g.log_det, g.forgetting);
+  ar.Section("mean");
+  VisitVector(ar, g.mean);
+  ar.Section("sum");
+  VisitVector(ar, g.sum);
+  ar.Section("chol");
+  VisitMatrix(ar, g.chol);
+  ar.Section("scatter");
+  VisitMatrix(ar, g.scatter);
+}
+
+template <class Ar, Snapshot<DensitySnapshot> S>
+void Visit(Ar& ar, S& d) {
+  ar.Section("density");
+  ar.Fields(d.has_value);
+  if (!d.has_value) return;
+  ar.Line();
+  ar.Fields(d.dim, d.forgetting, d.total, d.wtotal);
+  for (int c = 0; c < DensitySnapshot::kCells; ++c) {
+    ar.Section("cell");
+    ar.Fields(d.present[c], d.counts[c], d.wcounts[c], d.weights[c],
+              d.log_weights[c]);
+    if (d.present[c]) Visit(ar, d.components[c]);
+  }
+}
+
+template <class Ar, Snapshot<SessionState> S>
+void Visit(Ar& ar, S& s) {
+  ar.Section("faction-session");
+  ar.Tag("v1");
+  ar.Section("stream");
+  ar.Fields(s.stream_id, s.generation, s.steps);
+  Visit(ar, s.config);
+  ar.Section("rng");
+  Visit(ar, s.rng);
+
+  // One (weight, bias) tensor pair and one LinearSnapshot per Linear.
+  const std::size_t num_linear = s.config.model.hidden_dims.size() + 1;
+  ar.Section("tensors");
+  ar.Count(s.params, 2 * num_linear);
+  for (auto& m : s.params) {
+    ar.Line();
+    VisitMatrix(ar, m);
+  }
+  // The learner built from the config must have exactly these shapes, so
+  // a corrupt width cannot size its buffers beyond the input.
+  ar.Check(TensorShapesMatch(s.config.model, s.params),
+           "do not match the architecture");
+  ar.Section("layers");
+  ar.Count(s.layers, num_linear);
+  ar.Check(s.layers.size() == num_linear, "do not match the architecture");
+  for (auto& l : s.layers) Visit(ar, l);
+
+  std::size_t pool_dim = s.pool_features.cols();
+  ar.Section("pool");
+  ar.Fields(s.pool_size, pool_dim);
+  ar.Check(pool_dim == s.config.model.input_dim,
+           "dimension does not match the model input");
+  ar.Rows(s.pool_features, s.pool_size, pool_dim);
+  ar.Section("labels");
+  ar.Column(s.pool_labels, s.pool_size);
+  ar.Section("sensitive");
+  ar.Column(s.pool_sensitive, s.pool_size);
+  ar.Section("environments");
+  ar.Column(s.pool_environments, s.pool_size);
+
+  std::size_t ring_dim = s.ring_z.cols();
+  ar.Section("ring");
+  ar.Fields(s.ring_size, ring_dim);
+  ar.Check(s.ring_size <= s.config.density_window,
+           "size exceeds density_window");
+  ar.Rows(s.ring_z, s.ring_size, ring_dim);
+  ar.Section("ringlabels");
+  ar.Column(s.ring_label, s.ring_size);
+  ar.Section("ringsensitive");
+  ar.Column(s.ring_sensitive, s.ring_size);
+  ar.Section("ringweights");
+  ar.Column(s.ring_weight, s.ring_size);
+
+  ar.Section("normalizer");
+  ar.Fields(s.norm_count, s.norm_min, s.norm_max);
+  ar.Section("counters");
+  ar.Fields(s.seen, s.queried, s.labels_since_refit, s.trained_once);
+  Visit(ar, s.density);
+  ar.Section("end");
+}
 
 }  // namespace
 
 void EncodeSessionState(const SessionState& state, std::string* out) {
-  std::ostringstream os;
-  os << std::hexfloat;  // integers are unaffected; every double round-trips
-  os << kSessionMagic << '\n';
-  os << "stream " << state.stream_id << ' ' << state.generation << ' '
-     << state.steps << '\n';
-
-  const StreamingFactionConfig& c = state.config;
-  os << "config";
-  PutDouble(os, c.lambda);
-  PutDouble(os, c.alpha);
-  os << ' ' << c.warm_start << ' ' << c.burn_in << ' ' << c.refit_interval
-     << ' ' << (c.incremental_density ? 1 : 0) << ' ' << c.density_window;
-  PutDouble(os, c.density_decay);
-  os << ' ' << c.seed << '\n';
-
-  os << "covariance";
-  PutDouble(os, c.covariance.shrinkage);
-  PutDouble(os, c.covariance.jitter);
-  os << ' ' << c.covariance.max_jitter_doublings << ' '
-     << (c.covariance.forgetting ? 1 : 0);
-  PutDouble(os, c.covariance.ridge);
-  os << '\n';
-
-  os << "model " << c.model.input_dim << ' ' << c.model.num_classes << ' '
-     << c.model.hidden_dims.size();
-  for (const std::size_t h : c.model.hidden_dims) os << ' ' << h;
-  os << '\n';
-
-  os << "spectral " << (c.model.spectral.enabled ? 1 : 0);
-  PutDouble(os, c.model.spectral.coeff);
-  os << ' ' << c.model.spectral.power_iterations << '\n';
-
-  const TrainConfig& t = c.train;
-  os << "train " << t.epochs << ' ' << t.batch_size;
-  PutDouble(os, t.learning_rate);
-  PutDouble(os, t.momentum);
-  PutDouble(os, t.weight_decay);
-  os << ' ' << (t.use_fairness_penalty ? 1 : 0) << ' '
-     << static_cast<int>(t.fairness.notion);
-  PutDouble(os, t.fairness.mu);
-  PutDouble(os, t.fairness.epsilon);
-  os << ' ' << (t.fairness.symmetric ? 1 : 0) << ' '
-     << (t.use_individual_penalty ? 1 : 0);
-  PutDouble(os, t.individual.weight);
-  PutDouble(os, t.individual.bandwidth);
-  PutDouble(os, t.individual.similarity_cutoff);
-  os << ' ' << t.individual.max_pairs << '\n';
-
-  os << "rng ";
-  PutRngState(os, state.rng);
-  os << '\n';
-
-  os << "tensors " << state.params.size() << '\n';
-  for (const Matrix& m : state.params) PutMatrix(os, m);
-
-  os << "layers " << state.layers.size() << '\n';
-  for (const LinearSnapshot& l : state.layers) {
-    PutDouble(os, l.scale);
-    PutDouble(os, l.sigma);
-    PutDouble(os, l.sn_sigma);
-    os << ' ';
-    PutVector(os, l.sn_u);
-    os << ' ';
-    PutVector(os, l.sn_v);
-    os << ' ';
-    PutRngState(os, l.sn_rng);
-    os << '\n';
-  }
-
-  os << "pool " << state.pool_size << ' ' << state.pool_features.cols();
-  PutDoubles(os, state.pool_features.data(),
-             state.pool_size * state.pool_features.cols());
-  os << "\nlabels";
-  PutInts(os, state.pool_labels);
-  os << "\nsensitive";
-  PutInts(os, state.pool_sensitive);
-  os << "\nenvironments";
-  PutInts(os, state.pool_environments);
-  os << '\n';
-
-  os << "ring " << state.ring_size << ' ' << state.ring_z.cols();
-  PutDoubles(os, state.ring_z.data(), state.ring_size * state.ring_z.cols());
-  os << "\nringlabels";
-  PutInts(os, state.ring_label);
-  os << "\nringsensitive";
-  PutInts(os, state.ring_sensitive);
-  os << "\nringweights";
-  PutDoubles(os, state.ring_weight.data(), state.ring_weight.size());
-  os << '\n';
-
-  os << "normalizer " << state.norm_count;
-  PutDouble(os, state.norm_min);
-  PutDouble(os, state.norm_max);
-  os << '\n';
-
-  os << "counters " << state.seen << ' ' << state.queried << ' '
-     << state.labels_since_refit << ' ' << (state.trained_once ? 1 : 0)
-     << '\n';
-
-  const DensitySnapshot& dsnap = state.density;
-  os << "density " << (dsnap.has_value ? 1 : 0) << '\n';
-  if (dsnap.has_value) {
-    os << dsnap.dim << ' ' << (dsnap.forgetting ? 1 : 0) << ' '
-       << dsnap.total;
-    PutDouble(os, dsnap.wtotal);
-    os << '\n';
-    for (int cell = 0; cell < DensitySnapshot::kCells; ++cell) {
-      os << "cell " << (dsnap.present[cell] ? 1 : 0) << ' '
-         << dsnap.counts[cell];
-      PutDouble(os, dsnap.wcounts[cell]);
-      PutDouble(os, dsnap.weights[cell]);
-      PutDouble(os, dsnap.log_weights[cell]);
-      os << '\n';
-      if (dsnap.present[cell]) PutGaussian(os, dsnap.components[cell]);
-    }
-  }
-  os << "end\n";
-  *out = os.str();
+  TextWriter writer(out);
+  Visit(writer, state);
+  out->push_back('\n');
 }
 
 Status DecodeSessionState(std::istream& is, const std::string& source,
                           SessionState* out) {
-  TokenReader r(is, source);
-  FACTION_RETURN_IF_ERROR(r.ExpectMagic("faction-session", "v1"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("stream"));
-  FACTION_RETURN_IF_ERROR(r.ReadU64(&out->stream_id, "stream id"));
-  FACTION_RETURN_IF_ERROR(r.ReadU64(&out->generation, "generation"));
-  FACTION_RETURN_IF_ERROR(r.ReadU64(&out->steps, "step count"));
-
-  StreamingFactionConfig& c = out->config;
-  FACTION_RETURN_IF_ERROR(r.Expect("config"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.lambda, "lambda"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.alpha, "alpha"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.warm_start, "warm_start"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.burn_in, "burn_in"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.refit_interval, "refit_interval"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&c.incremental_density, "incremental_density"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.density_window, "density_window"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.density_decay, "density_decay"));
-  FACTION_RETURN_IF_ERROR(r.ReadU64(&c.seed, "seed"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("covariance"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.covariance.shrinkage, "shrinkage"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.covariance.jitter, "jitter"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInt(&c.covariance.max_jitter_doublings, "max_jitter_doublings"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&c.covariance.forgetting, "covariance forgetting flag"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&c.covariance.ridge, "ridge"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("model"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.model.input_dim, "input_dim"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&c.model.num_classes, "num_classes"));
-  std::size_t num_hidden = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&num_hidden, "hidden layer count"));
-  if (num_hidden > 1024) return r.Fail("oversized hidden layer count");
-  c.model.hidden_dims.resize(num_hidden);
-  for (std::size_t i = 0; i < num_hidden; ++i) {
-    FACTION_RETURN_IF_ERROR(
-        r.ReadSize(&c.model.hidden_dims[i], "hidden width"));
-  }
-
-  FACTION_RETURN_IF_ERROR(r.Expect("spectral"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&c.model.spectral.enabled, "spectral enabled flag"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&c.model.spectral.coeff, "spectral coeff"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInt(&c.model.spectral.power_iterations, "power_iterations"));
-
-  TrainConfig& t = c.train;
-  FACTION_RETURN_IF_ERROR(r.Expect("train"));
-  FACTION_RETURN_IF_ERROR(r.ReadInt(&t.epochs, "epochs"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&t.batch_size, "batch_size"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&t.learning_rate, "learning_rate"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&t.momentum, "momentum"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&t.weight_decay, "weight_decay"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&t.use_fairness_penalty, "use_fairness_penalty"));
-  int notion = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadInt(&notion, "fairness notion"));
-  if (notion != static_cast<int>(FairnessNotion::kDdp) &&
-      notion != static_cast<int>(FairnessNotion::kDeo)) {
-    return r.Fail("unknown fairness notion");
-  }
-  t.fairness.notion = static_cast<FairnessNotion>(notion);
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&t.fairness.mu, "fairness mu"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&t.fairness.epsilon, "fairness epsilon"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&t.fairness.symmetric, "fairness symmetric flag"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&t.use_individual_penalty, "use_individual_penalty"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&t.individual.weight, "individual weight"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&t.individual.bandwidth, "individual bandwidth"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadDouble(&t.individual.similarity_cutoff, "similarity_cutoff"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&t.individual.max_pairs, "max_pairs"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("rng"));
-  FACTION_RETURN_IF_ERROR(r.ReadRngState(&out->rng, "rng state"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("tensors"));
-  std::size_t num_tensors = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&num_tensors, "tensor count"));
-  if (num_tensors != 2 * (num_hidden + 1)) {
-    return r.Fail("tensor count does not match the architecture");
-  }
-  out->params.resize(num_tensors);
-  for (std::size_t i = 0; i < num_tensors; ++i) {
-    FACTION_RETURN_IF_ERROR(r.ReadMatrix(&out->params[i], "tensor"));
-  }
-
-  FACTION_RETURN_IF_ERROR(r.Expect("layers"));
-  std::size_t num_layers = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&num_layers, "layer count"));
-  if (num_layers != num_hidden + 1) {
-    return r.Fail("layer count does not match the architecture");
-  }
-  out->layers.resize(num_layers);
-  for (std::size_t i = 0; i < num_layers; ++i) {
-    LinearSnapshot& l = out->layers[i];
-    FACTION_RETURN_IF_ERROR(r.ReadDouble(&l.scale, "layer scale"));
-    FACTION_RETURN_IF_ERROR(r.ReadDouble(&l.sigma, "layer sigma"));
-    FACTION_RETURN_IF_ERROR(r.ReadDouble(&l.sn_sigma, "layer sn_sigma"));
-    FACTION_RETURN_IF_ERROR(r.ReadVector(&l.sn_u, "layer sn_u"));
-    FACTION_RETURN_IF_ERROR(r.ReadVector(&l.sn_v, "layer sn_v"));
-    FACTION_RETURN_IF_ERROR(r.ReadRngState(&l.sn_rng, "layer rng state"));
-  }
-
-  FACTION_RETURN_IF_ERROR(r.Expect("pool"));
-  std::size_t pool_dim = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->pool_size, "pool size"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&pool_dim, "pool dimension"));
-  if (pool_dim != c.model.input_dim) {
-    return r.Fail("pool dimension does not match the model input");
-  }
-  out->pool_features.ResizeForOverwrite(out->pool_size, pool_dim);
-  FACTION_RETURN_IF_ERROR(r.ReadDoubles(
-      out->pool_features.data(), out->pool_size * pool_dim, "pool row"));
-  FACTION_RETURN_IF_ERROR(r.Expect("labels"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInts(&out->pool_labels, out->pool_size, "pool label"));
-  FACTION_RETURN_IF_ERROR(r.Expect("sensitive"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInts(&out->pool_sensitive, out->pool_size, "pool sensitive"));
-  FACTION_RETURN_IF_ERROR(r.Expect("environments"));
-  FACTION_RETURN_IF_ERROR(r.ReadInts(&out->pool_environments, out->pool_size,
-                                     "pool environment"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("ring"));
-  std::size_t ring_dim = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->ring_size, "ring size"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&ring_dim, "ring dimension"));
-  if (out->ring_size > c.density_window) {
-    return r.Fail("ring size exceeds density_window");
-  }
-  out->ring_z.ResizeForOverwrite(out->ring_size, ring_dim);
-  FACTION_RETURN_IF_ERROR(r.ReadDoubles(
-      out->ring_z.data(), out->ring_size * ring_dim, "ring row"));
-  FACTION_RETURN_IF_ERROR(r.Expect("ringlabels"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInts(&out->ring_label, out->ring_size, "ring label"));
-  FACTION_RETURN_IF_ERROR(r.Expect("ringsensitive"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadInts(&out->ring_sensitive, out->ring_size, "ring sensitive"));
-  FACTION_RETURN_IF_ERROR(r.Expect("ringweights"));
-  out->ring_weight.resize(out->ring_size);
-  FACTION_RETURN_IF_ERROR(r.ReadDoubles(out->ring_weight.data(),
-                                        out->ring_size, "ring weight"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("normalizer"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->norm_count, "normalizer count"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->norm_min, "normalizer min"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->norm_max, "normalizer max"));
-
-  FACTION_RETURN_IF_ERROR(r.Expect("counters"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->seen, "seen counter"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->queried, "queried counter"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadSize(&out->labels_since_refit, "labels_since_refit"));
-  FACTION_RETURN_IF_ERROR(
-      r.ReadBool(&out->trained_once, "trained_once flag"));
-
-  DensitySnapshot& dsnap = out->density;
-  FACTION_RETURN_IF_ERROR(r.Expect("density"));
-  FACTION_RETURN_IF_ERROR(r.ReadBool(&dsnap.has_value, "density presence"));
-  if (dsnap.has_value) {
-    FACTION_RETURN_IF_ERROR(r.ReadSize(&dsnap.dim, "density dimension"));
-    FACTION_RETURN_IF_ERROR(
-        r.ReadBool(&dsnap.forgetting, "density forgetting flag"));
-    FACTION_RETURN_IF_ERROR(r.ReadSize(&dsnap.total, "density total"));
-    FACTION_RETURN_IF_ERROR(r.ReadDouble(&dsnap.wtotal, "density wtotal"));
-    for (int cell = 0; cell < DensitySnapshot::kCells; ++cell) {
-      FACTION_RETURN_IF_ERROR(r.Expect("cell"));
-      FACTION_RETURN_IF_ERROR(
-          r.ReadBool(&dsnap.present[cell], "cell presence"));
-      FACTION_RETURN_IF_ERROR(r.ReadSize(&dsnap.counts[cell], "cell count"));
-      FACTION_RETURN_IF_ERROR(
-          r.ReadDouble(&dsnap.wcounts[cell], "cell wcount"));
-      FACTION_RETURN_IF_ERROR(
-          r.ReadDouble(&dsnap.weights[cell], "cell weight"));
-      FACTION_RETURN_IF_ERROR(
-          r.ReadDouble(&dsnap.log_weights[cell], "cell log-weight"));
-      if (dsnap.present[cell]) {
-        FACTION_RETURN_IF_ERROR(r.ReadGaussian(&dsnap.components[cell]));
-      }
-    }
-  }
-  return r.Expect("end");
+  TextReader reader(is, source);
+  Visit(reader, *out);
+  return reader.status();
 }
 
 Status DecodeSessionStateFromFile(const std::string& path,
@@ -933,113 +775,6 @@ Status DecodeSessionStateFromFile(const std::string& path,
                             path);
   }
   return DecodeSessionState(is, path, out);
-}
-
-// ------------------------------------------- standalone pipeline state
-
-void CaptureDriftDetectorState(const DriftDetector& detector,
-                               DriftDetectorState* out) {
-  StateCodecAccess::CaptureDrift(detector, out);
-}
-
-void RestoreDriftDetectorState(const DriftDetectorState& state,
-                               DriftDetector* detector) {
-  StateCodecAccess::RestoreDrift(state, detector);
-}
-
-void EncodeDriftDetectorState(const DriftDetectorState& state,
-                              std::string* out) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << kDriftMagic << '\n' << state.n;
-  PutDouble(os, state.mean);
-  PutDouble(os, state.m2);
-  os << ' ' << state.cooldown_remaining << '\n';
-  *out = os.str();
-}
-
-Status DecodeDriftDetectorState(std::istream& is, const std::string& source,
-                                DriftDetectorState* out) {
-  TokenReader r(is, source);
-  FACTION_RETURN_IF_ERROR(r.ExpectMagic("faction-drift", "v1"));
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&out->n, "history count"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->mean, "running mean"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->m2, "running m2"));
-  return r.ReadSize(&out->cooldown_remaining, "cooldown");
-}
-
-void CaptureBanditState(const BanditStrategy& strategy, BanditState* out) {
-  StateCodecAccess::CaptureBandit(strategy, out);
-}
-
-void RestoreBanditState(const BanditState& state, BanditStrategy* strategy) {
-  StateCodecAccess::RestoreBandit(state, strategy);
-}
-
-void EncodeBanditState(const BanditState& state, std::string* out) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << kBanditMagic << '\n';
-  PutDouble(os, state.pulls[0]);
-  PutDouble(os, state.pulls[1]);
-  PutDouble(os, state.reward_sum[0]);
-  PutDouble(os, state.reward_sum[1]);
-  os << '\n';
-  *out = os.str();
-}
-
-Status DecodeBanditState(std::istream& is, const std::string& source,
-                         BanditState* out) {
-  TokenReader r(is, source);
-  FACTION_RETURN_IF_ERROR(r.ExpectMagic("faction-bandit", "v1"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->pulls[0], "arm pulls"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->pulls[1], "arm pulls"));
-  FACTION_RETURN_IF_ERROR(r.ReadDouble(&out->reward_sum[0], "arm reward"));
-  return r.ReadDouble(&out->reward_sum[1], "arm reward");
-}
-
-void CaptureDisentangledState(const DisentangledStrategy& strategy,
-                              DisentangledState* out) {
-  StateCodecAccess::CaptureDisentangled(strategy, out);
-}
-
-void RestoreDisentangledState(const DisentangledState& state,
-                              DisentangledStrategy* strategy) {
-  StateCodecAccess::RestoreDisentangled(state, strategy);
-}
-
-void EncodeDisentangledState(const DisentangledState& state,
-                             std::string* out) {
-  std::ostringstream os;
-  os << std::hexfloat;
-  os << kDisentangledMagic << '\n';
-  PutVector(os, state.global);
-  os << '\n' << state.deltas.size() << '\n';
-  for (const auto& [env, delta] : state.deltas) {
-    os << env << ' ';
-    PutVector(os, delta);
-    os << '\n';
-  }
-  *out = os.str();
-}
-
-Status DecodeDisentangledState(std::istream& is, const std::string& source,
-                               DisentangledState* out) {
-  TokenReader r(is, source);
-  FACTION_RETURN_IF_ERROR(r.ExpectMagic("faction-disentangled", "v1"));
-  FACTION_RETURN_IF_ERROR(r.ReadVector(&out->global, "global weights"));
-  std::size_t num_deltas = 0;
-  FACTION_RETURN_IF_ERROR(r.ReadSize(&num_deltas, "delta count"));
-  if (num_deltas > 1u << 20) return r.Fail("oversized delta count");
-  out->deltas.clear();
-  for (std::size_t i = 0; i < num_deltas; ++i) {
-    int env = 0;
-    FACTION_RETURN_IF_ERROR(r.ReadInt(&env, "delta environment"));
-    std::vector<double> delta;
-    FACTION_RETURN_IF_ERROR(r.ReadVector(&delta, "delta weights"));
-    out->deltas.emplace(env, std::move(delta));
-  }
-  return Status::Ok();
 }
 
 // FACTION_COLD_END

@@ -1,12 +1,12 @@
 // Checkpoint/state-streaming tests (DESIGN.md §17): bitwise
 // capture/encode/decode/restore round trips for the full session state,
 // kill-then-restore decision parity at any worker count, warm-start from a
-// manifest, generation/rotation protocol, the never-stall skip path, the
-// cross-shard sufficient-stats merge, and the standalone drift/bandit/
-// disentangled codecs.
+// manifest, generation/rotation protocol, the never-stall skip path, and
+// the cross-shard sufficient-stats merge.
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -17,8 +17,6 @@
 
 #include "gtest/gtest.h"
 
-#include "baselines/bandit_strategy.h"
-#include "baselines/disentangled_strategy.h"
 #include "common/rng.h"
 #include "core/streaming_faction.h"
 #include "data/dataset.h"
@@ -28,7 +26,6 @@
 #include "serve/serve_runtime.h"
 #include "serve/session.h"
 #include "serve/state_codec.h"
-#include "stream/drift.h"
 
 namespace faction {
 namespace {
@@ -251,6 +248,270 @@ TEST(CheckpointCodec, DecodeErrorsNameSourceAndByteOffset) {
       << missing.ToString();
 }
 
+std::vector<std::string> Tokens(const std::string& text) {
+  std::istringstream is(text);
+  std::vector<std::string> tokens;
+  for (std::string token; is >> token;) tokens.push_back(token);
+  return tokens;
+}
+
+// tests/data/session_windowed.ckpt was written by the original
+// hand-written encoder after FixtureStream(60) ran through a learner with
+// this config, stamped stream 42, generation 5, step 60.
+StreamingFactionConfig FixtureConfig() {
+  StreamingFactionConfig config;
+  config.model.input_dim = 3;
+  config.model.hidden_dims = {4};
+  config.train.epochs = 2;
+  config.train.batch_size = 8;
+  config.warm_start = 10;
+  config.burn_in = 4;
+  config.refit_interval = 12;
+  config.density_window = 12;
+  config.density_decay = 0.95;
+  config.seed = 1234;
+  return config;
+}
+
+std::vector<Example> FixtureStream(std::size_t n) {
+  Rng rng(77);
+  std::vector<Example> stream(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Example& ex = stream[i];
+    ex.label = rng.Bernoulli(0.5) ? 1 : 0;
+    ex.sensitive = rng.Bernoulli(0.5) ? 1 : -1;
+    ex.environment = static_cast<int>(i / 20);
+    ex.x.resize(3);
+    for (double& v : ex.x) {
+      v = rng.Gaussian(ex.label == 1 ? 1.0 : -1.0, 1.0) + 0.3 * ex.sensitive;
+    }
+  }
+  return stream;
+}
+
+// A round trip alone cannot tell two same-typed fields apart if encoder
+// and decoder swap them alike, so pin what each field of the fixture
+// means: the config and header, the warm-start rows of the pool, and the
+// relations a Gaussian's fields keep with one another.
+void ExpectFixtureSemantics(const SessionState& s) {
+  const StreamingFactionConfig want = FixtureConfig();
+  EXPECT_EQ(42u, s.stream_id);
+  EXPECT_EQ(5u, s.generation);
+  EXPECT_EQ(60u, s.steps);
+  EXPECT_EQ(want.lambda, s.config.lambda);
+  EXPECT_EQ(want.alpha, s.config.alpha);
+  EXPECT_EQ(want.warm_start, s.config.warm_start);
+  EXPECT_EQ(want.burn_in, s.config.burn_in);
+  EXPECT_EQ(want.refit_interval, s.config.refit_interval);
+  EXPECT_EQ(want.density_window, s.config.density_window);
+  EXPECT_EQ(want.density_decay, s.config.density_decay);
+  EXPECT_EQ(want.seed, s.config.seed);
+  EXPECT_EQ(want.model.input_dim, s.config.model.input_dim);
+  EXPECT_EQ(want.model.hidden_dims, s.config.model.hidden_dims);
+  EXPECT_EQ(want.train.epochs, s.config.train.epochs);
+  EXPECT_EQ(want.train.batch_size, s.config.train.batch_size);
+  EXPECT_EQ(want.train.learning_rate, s.config.train.learning_rate);
+  EXPECT_EQ(want.covariance.shrinkage, s.config.covariance.shrinkage);
+  EXPECT_EQ(want.covariance.jitter, s.config.covariance.jitter);
+  EXPECT_EQ(60u, s.seen);
+  EXPECT_EQ(s.pool_size, s.queried);
+  EXPECT_LT(s.labels_since_refit, want.refit_interval);
+  EXPECT_LE(s.norm_min, s.norm_max);
+  // The first warm_start arrivals are always queried.
+  const std::vector<Example> stream = FixtureStream(want.warm_start);
+  for (std::size_t i = 0; i < want.warm_start; ++i) {
+    EXPECT_EQ(stream[i].label, s.pool_labels[i]) << "row " << i;
+    EXPECT_EQ(stream[i].sensitive, s.pool_sensitive[i]) << "row " << i;
+    EXPECT_EQ(stream[i].environment, s.pool_environments[i]) << "row " << i;
+    for (std::size_t j = 0; j < 3; ++j) {
+      EXPECT_NEAR(stream[i].x[j], s.pool_features(i, j), 1e-12);
+    }
+  }
+  for (const LinearSnapshot& layer : s.layers) {
+    EXPECT_EQ(1.0, layer.scale);  // spectral normalization is off
+    EXPECT_TRUE(layer.sn_u.empty());
+  }
+  double weight_sum = 0.0;
+  for (int c = 0; c < DensitySnapshot::kCells; ++c) {
+    const GaussianSnapshot& g = s.density.components[c];
+    weight_sum += s.density.weights[c];
+    EXPECT_NEAR(std::log(s.density.weights[c]), s.density.log_weights[c],
+                1e-12);
+    EXPECT_EQ(s.density.counts[c], g.count);
+    EXPECT_TRUE(g.forgetting);
+    double log_det = 0.0;
+    for (std::size_t a = 0; a < s.density.dim; ++a) {
+      EXPECT_NEAR(g.sum[a] / g.weight, g.mean[a], 1e-9) << "cell " << c;
+      EXPECT_GT(g.chol(a, a), 0.0);
+      log_det += 2.0 * std::log(g.chol(a, a));
+      for (std::size_t b = a + 1; b < s.density.dim; ++b) {
+        EXPECT_EQ(0.0, g.chol(a, b)) << "factor must be lower-triangular";
+      }
+    }
+    EXPECT_NEAR(log_det, g.log_det, 1e-9) << "cell " << c;
+  }
+  EXPECT_NEAR(1.0, weight_sum, 1e-12);
+}
+
+// Pins the "faction-session v1" format: the fixture (pool, ring and all
+// four density cells non-empty) decodes to the state it was written from,
+// restores, and re-encodes to the same token sequence.
+TEST(CheckpointCodec, PinnedFixtureRoundTripsTokenIdentical) {
+  const std::string path =
+      std::string(FACTION_TEST_DATA_DIR) + "/session_windowed.ckpt";
+  std::ifstream file(path);
+  ASSERT_TRUE(file.is_open()) << path;
+  std::stringstream contents;
+  contents << file.rdbuf();
+  const std::string pinned = contents.str();
+
+  std::istringstream is(pinned);
+  SessionState decoded;
+  const Status decode = DecodeSessionState(is, path, &decoded);
+  ASSERT_TRUE(decode.ok()) << decode.ToString();
+  EXPECT_GT(decoded.pool_size, 0u);
+  EXPECT_GT(decoded.ring_size, 0u);
+  ASSERT_TRUE(decoded.density.has_value);
+  for (int c = 0; c < DensitySnapshot::kCells; ++c) {
+    EXPECT_TRUE(decoded.density.present[c]) << "cell " << c;
+  }
+  ExpectFixtureSemantics(decoded);
+
+  StreamingFaction restored(decoded.config);
+  const Status restore = RestoreSessionState(decoded, &restored);
+  ASSERT_TRUE(restore.ok()) << restore.ToString();
+  SessionState recaptured;
+  CaptureSessionState(restored, &recaptured);
+  recaptured.stream_id = decoded.stream_id;
+  recaptured.generation = decoded.generation;
+  recaptured.steps = decoded.steps;
+  std::string reencoded;
+  EncodeSessionState(recaptured, &reencoded);
+  EXPECT_EQ(Tokens(pinned), Tokens(reencoded));
+}
+
+// A decay outside (0, 1] would pass decode and then trip the CHECK in the
+// StreamingFaction constructor that WarmStart runs on the decoded config.
+TEST(CheckpointCodec, DecodeRejectsDensityDecayOutsideUnitInterval) {
+  StreamingFaction faction(WindowedConfig(4));
+  RunStream(&faction, MakeStream(40, 6, 8), 0, 40, nullptr);
+  SessionState state;
+  CaptureSessionState(faction, &state);
+  for (const double decay : {0.0, -0.5, 1.5}) {
+    state.config.density_decay = decay;
+    std::string encoded;
+    EncodeSessionState(state, &encoded);
+    std::istringstream is(encoded);
+    SessionState decoded;
+    const Status status = DecodeSessionState(is, "decay.ckpt", &decoded);
+    if (status.ok()) StreamingFaction learner(decoded.config);
+    EXPECT_FALSE(status.ok()) << "decay " << decay;
+    EXPECT_NE(std::string::npos, status.message().find("density_decay"))
+        << status.ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Restore validation: states that decode cleanly but that the learner would
+// abort on later (at the next refit or window eviction) are rejected with a
+// Status by RestoreSessionState.
+
+// A windowed learner whose ring is full and whose four density cells are
+// all present.
+SessionState WindowedSnapshot() {
+  StreamingFaction faction(WindowedConfig(13));
+  RunStream(&faction, MakeStream(140, 6, 2718), 0, 140, nullptr);
+  SessionState state;
+  CaptureSessionState(faction, &state);
+  EXPECT_EQ(state.config.density_window, state.ring_size);
+  EXPECT_TRUE(state.density.has_value);
+  for (int c = 0; c < DensitySnapshot::kCells; ++c) {
+    EXPECT_TRUE(state.density.present[c]) << "cell " << c;
+  }
+  return state;
+}
+
+// Restores `state` into a learner built from its config and, when the
+// restore is accepted, drives it through a refit and window evictions —
+// where corrupt state would abort.
+Status RestoreAndDrive(const SessionState& state) {
+  StreamingFaction learner(state.config);
+  FACTION_RETURN_IF_ERROR(RestoreSessionState(state, &learner));
+  RunStream(&learner, MakeStream(200, 6, 31415), 0, 200, nullptr);
+  return Status::Ok();
+}
+
+int CellOf(const SessionState& s, std::size_t ring_index) {
+  return FairDensityEstimator::ComponentIndex(s.ring_label[ring_index],
+                                              s.ring_sensitive[ring_index]);
+}
+
+TEST(RestoreValidation, UntouchedSnapshotRestoresAndRuns) {
+  EXPECT_TRUE(RestoreAndDrive(WindowedSnapshot()).ok());
+}
+
+TEST(RestoreValidation, RejectsPoolLabelOutsideClasses) {
+  for (const int label : {2, 6, -1}) {
+    SessionState state = WindowedSnapshot();
+    state.pool_labels[state.pool_size / 2] = label;
+    EXPECT_FALSE(RestoreAndDrive(state).ok()) << "label " << label;
+  }
+}
+
+TEST(RestoreValidation, RejectsSensitiveOutsidePlusMinusOne) {
+  for (const int sensitive : {0, 2, -3}) {
+    SessionState pool = WindowedSnapshot();
+    pool.pool_sensitive[pool.pool_size - 1] = sensitive;
+    EXPECT_FALSE(RestoreAndDrive(pool).ok()) << "pool " << sensitive;
+    SessionState ring = WindowedSnapshot();
+    ring.ring_sensitive[0] = sensitive;
+    EXPECT_FALSE(RestoreAndDrive(ring).ok()) << "ring " << sensitive;
+  }
+}
+
+TEST(RestoreValidation, RejectsRingLabelOutsideClasses) {
+  SessionState state = WindowedSnapshot();
+  state.ring_label[0] = 3;
+  EXPECT_FALSE(RestoreAndDrive(state).ok());
+}
+
+TEST(RestoreValidation, RejectsRingLargerThanDensityTotal) {
+  // Each fold re-adds the row its eviction removed, so only a total below
+  // one trips the eviction CHECK; any total under ring_size is corrupt.
+  for (const std::size_t total : {std::size_t{0}, std::size_t{1}}) {
+    SessionState state = WindowedSnapshot();
+    state.density.total = total;
+    EXPECT_FALSE(RestoreAndDrive(state).ok()) << "total " << total;
+  }
+}
+
+TEST(RestoreValidation, RejectsRingEntryInAbsentCell) {
+  SessionState state = WindowedSnapshot();
+  state.density.present[CellOf(state, 0)] = false;
+  EXPECT_FALSE(RestoreAndDrive(state).ok());
+}
+
+TEST(RestoreValidation, RejectsRingEntriesBeyondCellCount) {
+  // Cell of the oldest entry claims a single row while the ring holds more
+  // of them: the second eviction would hit a dropped component.
+  SessionState state = WindowedSnapshot();
+  const int cell = CellOf(state, 0);
+  std::size_t in_cell = 0;
+  for (std::size_t i = 0; i < state.ring_size; ++i) {
+    if (CellOf(state, i) == cell) ++in_cell;
+  }
+  ASSERT_GE(in_cell, 2u);
+  state.density.counts[cell] = 1;
+  state.density.components[cell].count = 1;
+  EXPECT_FALSE(RestoreAndDrive(state).ok());
+}
+
+TEST(RestoreValidation, RejectsRingWeightsBeyondComponentMass) {
+  SessionState state = WindowedSnapshot();
+  state.density.components[CellOf(state, 0)].weight = 1e-3;
+  EXPECT_FALSE(RestoreAndDrive(state).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Serve-layer checkpointing: background snapshots, manifest, warm-start.
 
@@ -422,6 +683,26 @@ TEST(ServeWarmStart, KillThenRestoreDecisionParityAcrossWorkerCounts) {
 // Both buffers in serializer hands -> the snapshot is skipped, never
 // stalled. (Statuses are forced by hand: the deterministic stand-in for a
 // serializer backlog.)
+// A corrupt session count used to size the entry vector directly (a
+// length_error or bad_alloc out of WarmStart); it must be a Status.
+TEST(CheckpointManager, ReadManifestRejectsCorruptCounts) {
+  const std::string dir = MakeScratchDir("manifest");
+  const std::string path = dir + "/manifest";
+  for (const char* count : {"99999999999999", "-1", "3"}) {
+    {
+      std::ofstream f(path, std::ios::trunc);
+      f << "faction-manifest v1\nsessions " << count
+        << "\n0 1 10 session-0.gen1.ckpt\n";
+    }
+    const Result<std::vector<CheckpointManifestEntry>> manifest =
+        CheckpointManager::ReadManifest(path);
+    ASSERT_FALSE(manifest.ok()) << count;
+    EXPECT_NE(std::string::npos, manifest.status().message().find("@byte"))
+        << manifest.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointManager, SkipsWhenBothBuffersBusy) {
   const std::string dir = MakeScratchDir("busy");
   CheckpointOptions ckpt;
@@ -607,84 +888,6 @@ TEST(MergeSufficientStats, FoldsShardCheckpointsFromDisk) {
   EXPECT_FALSE(MergeSufficientStats({}, config.covariance).ok());
   EXPECT_FALSE(
       MergeSufficientStats({dir + "/absent.ckpt"}, config.covariance).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Standalone pipeline-state codecs.
-
-TEST(PipelineStateCodec, DriftDetectorRoundTripPreservesBehavior) {
-  DriftDetectorConfig config;
-  config.threshold = 2.0;
-  config.cooldown = 4;
-  DriftDetector original(config);
-  for (double v : {0.1, 0.12, 0.11, 0.13, 0.12, 5.0}) original.Observe(v);
-
-  DriftDetectorState state;
-  CaptureDriftDetectorState(original, &state);
-  std::string encoded;
-  EncodeDriftDetectorState(state, &encoded);
-  std::istringstream is(encoded);
-  DriftDetectorState decoded;
-  ASSERT_TRUE(DecodeDriftDetectorState(is, "drift", &decoded).ok());
-  EXPECT_EQ(state.n, decoded.n);
-  EXPECT_EQ(state.cooldown_remaining, decoded.cooldown_remaining);
-
-  DriftDetector restored(config);
-  RestoreDriftDetectorState(decoded, &restored);
-  EXPECT_EQ(original.history(), restored.history());
-  EXPECT_EQ(original.mean(), restored.mean());
-  EXPECT_EQ(original.cooldown_remaining(), restored.cooldown_remaining());
-  // Future firings agree step for step (including the re-arm cooldown).
-  for (double v : {0.1, 0.11, 9.0, 0.1, 0.1, 0.1, 0.1, 8.0}) {
-    EXPECT_EQ(original.Observe(v), restored.Observe(v)) << "value " << v;
-    EXPECT_EQ(original.cooldown_remaining(), restored.cooldown_remaining());
-  }
-}
-
-TEST(PipelineStateCodec, BanditStateRoundTrip) {
-  BanditState state;
-  state.pulls = {3.25, 1.5};
-  state.reward_sum = {0.875, -0.25};
-  std::string encoded;
-  EncodeBanditState(state, &encoded);
-  std::istringstream is(encoded);
-  BanditState decoded;
-  ASSERT_TRUE(DecodeBanditState(is, "bandit", &decoded).ok());
-  EXPECT_EQ(state.pulls, decoded.pulls);
-  EXPECT_EQ(state.reward_sum, decoded.reward_sum);
-
-  BanditConfig config;
-  BanditStrategy strategy(config);
-  RestoreBanditState(decoded, &strategy);
-  EXPECT_EQ(3.25, strategy.arm_pulls(0));
-  EXPECT_EQ(1.5, strategy.arm_pulls(1));
-  BanditState recaptured;
-  CaptureBanditState(strategy, &recaptured);
-  EXPECT_EQ(state.pulls, recaptured.pulls);
-  EXPECT_EQ(state.reward_sum, recaptured.reward_sum);
-}
-
-TEST(PipelineStateCodec, DisentangledStateRoundTrip) {
-  DisentangledState state;
-  state.global = {0.5, -0.25, 0.125};
-  state.deltas[0] = {0.01, 0.02, 0.03};
-  state.deltas[3] = {-0.5, 0.0, 0.25};
-  std::string encoded;
-  EncodeDisentangledState(state, &encoded);
-  std::istringstream is(encoded);
-  DisentangledState decoded;
-  ASSERT_TRUE(DecodeDisentangledState(is, "disentangled", &decoded).ok());
-  EXPECT_EQ(state.global, decoded.global);
-  EXPECT_EQ(state.deltas, decoded.deltas);
-
-  DisentangledConfig config;
-  DisentangledStrategy strategy(config);
-  RestoreDisentangledState(decoded, &strategy);
-  EXPECT_EQ(2u, strategy.num_environment_deltas());
-  DisentangledState recaptured;
-  CaptureDisentangledState(strategy, &recaptured);
-  EXPECT_EQ(state.global, recaptured.global);
-  EXPECT_EQ(state.deltas, recaptured.deltas);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 #include <set>
 #include <sstream>
 
+#include "common/flags.h"
 #include "common/logging.h"
+#include "common/token_reader.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -316,4 +318,56 @@ TEST(LoggingTest, LevelFilterRoundTrip) {
 }
 
 }  // namespace
+// The strict flag parsers shared by faction_cli and the bench binaries:
+// the whole token must parse, with no sign, junk or overflow.
+TEST(FlagParsers, AcceptWholeTokensOnly) {
+  std::uint64_t u = 7;
+  EXPECT_TRUE(ParseUintFlag("--seed", "18446744073709551615", &u));
+  EXPECT_EQ(18446744073709551615ull, u);
+  for (const char* bad : {"", "-1", "+1", " 5", "200x", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseUintFlag("--seed", bad, &u)) << bad;
+  }
+  std::size_t n = 0;
+  EXPECT_TRUE(ParseSizeFlag("--sessions", "64", &n));
+  EXPECT_EQ(64u, n);
+  double d = 0.0;
+  EXPECT_TRUE(ParseDoubleFlag("--utilization", "0.25", &d));
+  EXPECT_EQ(0.25, d);
+  for (const char* bad : {"", "abc", "0.5x", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(ParseDoubleFlag("--utilization", bad, &d)) << bad;
+  }
+  EXPECT_EQ(0.25, d);  // failures leave the output untouched
+}
+
+// The shared decoder reader: values parse in full, counts cannot outgrow
+// the stream, and errors carry the decoder, source and byte offset.
+TEST(TokenReaderTest, StrictValuesRoomCheckAndErrorContext) {
+  std::istringstream is("tag 1 -2 0x1.8p+1 -inf 7 nan");
+  TokenReader r(is, "Decoder", "file.txt");
+  EXPECT_TRUE(r.Expect("tag").ok());
+  bool flag = false;
+  EXPECT_TRUE(r.Read(&flag, "flag").ok());
+  EXPECT_TRUE(flag);
+  std::size_t size = 0;
+  const Status wrapped = r.Read(&size, "size");  // no sign wrap to 2^64-2
+  EXPECT_FALSE(wrapped.ok());
+  EXPECT_NE(std::string::npos, wrapped.message().find("Decoder: bad size"))
+      << wrapped.ToString();
+  EXPECT_NE(std::string::npos, wrapped.message().find("in file.txt @byte"))
+      << wrapped.ToString();
+  double v = 0.0;
+  EXPECT_TRUE(r.Read(&v, "value").ok());
+  EXPECT_EQ(3.0, v);
+  EXPECT_TRUE(r.Read(&v, "value").ok());  // infinities pass
+  EXPECT_TRUE(std::isinf(v));
+  EXPECT_TRUE(r.ExpectRoom(2, "tail").ok());
+  EXPECT_FALSE(r.ExpectRoom(1000, "tail").ok());
+  int i = 0;
+  EXPECT_TRUE(r.Read(&i, "int").ok());
+  EXPECT_EQ(7, i);
+  EXPECT_FALSE(r.Read(&v, "value").ok());  // NaN never passes
+  EXPECT_FALSE(r.Read(&i, "int").ok());    // truncated
+}
+
 }  // namespace faction

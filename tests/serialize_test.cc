@@ -1,7 +1,7 @@
 // Serializer v2 guarantees: bitwise-exact hexfloat round-trips (including
-// denormals and signed zeros), rejection of non-finite parameters before a
-// byte is written, legacy v1 (decimal) payloads still loading, and the
-// crash-safe file save that never clobbers a good checkpoint.
+// denormals and signed zeros), rejection of non-finite parameters on both
+// save and load, and the crash-safe file save that never clobbers a good
+// checkpoint.
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -93,46 +93,50 @@ TEST(SerializeV2Test, SaveRejectsNonFiniteParameters) {
   }
 }
 
-TEST(SerializeV2Test, LegacyV1DecimalPayloadStillLoads) {
-  // A v1 checkpoint written by the old decimal serializer: a linear model
-  // (empty hidden line) with hand-picked weights.
-  const std::string v1 =
-      "faction-mlp v1\n"
-      "input_dim 2\n"
-      "num_classes 2\n"
-      "hidden\n"
-      "spectral 0 1 1\n"
-      "tensors 2\n"
-      "2 2 0.25 -0.5 1.5 2.2999999999999998\n"
-      "1 2 0.125 -1\n";
-  std::istringstream is(v1);
-  Result<MlpClassifier> loaded = LoadModel(is);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const std::vector<const Matrix*> params =
-      static_cast<const MlpClassifier&>(loaded.value()).Parameters();
-  ASSERT_EQ(params.size(), 2u);
-  EXPECT_EQ(params[0]->data()[0], 0.25);
-  EXPECT_EQ(params[0]->data()[1], -0.5);
-  // max_digits10 decimal round-trips exactly: 2.2999999999999998 is 2.3.
-  EXPECT_EQ(Bits(params[0]->data()[3]), Bits(2.3));
-  EXPECT_EQ(params[1]->data()[1], -1.0);
-  EXPECT_FALSE(loaded.value().config().spectral.enabled);
+// A hand-written v2 payload: a linear model (empty hidden line) whose
+// second weight is `value`.
+std::string LinearV2Payload(const std::string& value) {
+  return "faction-mlp v2\n"
+         "input_dim 2\n"
+         "num_classes 2\n"
+         "hidden\n"
+         "spectral 0 3 1\n"
+         "tensors 2\n"
+         "2 2 0x1p-2 " +
+         value +
+         " 0x1.8p+0 0x1p+1\n"
+         "1 2 0x1p-3 -0x1p+0\n";
 }
 
+// The loader rejects non-finite tensor values, matching SaveModel's
+// contract, whether spelled as NaN or as an infinity.
 TEST(SerializeV2Test, LoadRejectsNonFiniteTensorValues) {
-  const std::string bad =
-      "faction-mlp v1\n"
-      "input_dim 2\n"
-      "num_classes 2\n"
-      "hidden\n"
-      "spectral 0 1 1\n"
-      "tensors 2\n"
-      "2 2 0.25 nan 1.5 2.0\n"
-      "1 2 0.125 -1\n";
-  std::istringstream is(bad);
+  std::istringstream clean(LinearV2Payload("-0x1p-1"));
+  const Result<MlpClassifier> ok = LoadModel(clean);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(-0.5, static_cast<const MlpClassifier&>(ok.value())
+                      .Parameters()[0]
+                      ->data()[1]);
+
+  for (const char* poison : {"nan", "inf", "-inf", "-nan"}) {
+    std::istringstream is(LinearV2Payload(poison));
+    const Result<MlpClassifier> loaded = LoadModel(is);
+    ASSERT_FALSE(loaded.ok()) << poison;
+    EXPECT_NE(loaded.status().message().find("non-finite"), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+// The decimal v1 format is retired: only v2 loads.
+TEST(SerializeV2Test, LoadRejectsRetiredV1Format) {
+  std::string v1 = LinearV2Payload("-0.5");
+  v1.replace(v1.find("v2"), 2, "v1");
+  std::istringstream is(v1);
   const Result<MlpClassifier> loaded = LoadModel(is);
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("non-finite"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("unsupported version v1"),
+            std::string::npos)
+      << loaded.status().ToString();
 }
 
 TEST(SerializeV2Test, LoadRejectsMalformedTokens) {

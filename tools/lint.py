@@ -34,6 +34,11 @@ Rules (each reported as file:line: [rule] message):
                    (DESIGN.md §12). The kernel names are parsed from the
                    SimdKernels struct, the pinned set from the CMake
                    set_source_files_properties calls.
+  no-atoi          atoi/atol/atoll/atof are banned everywhere: they read
+                   "200x" as 200 and junk as 0, and never report overflow.
+                   Parse flags with common/flags.h (ParseSizeFlag,
+                   ParseUintFlag, ParseDoubleFlag) or strto* with an end
+                   check.
   no-wallclock     wall-clock reads (time(), clock(), gettimeofday,
                    std::chrono::*_clock) are banned outside common/timer.h
                    — timing flows through faction::Timer so determinism
@@ -235,6 +240,7 @@ NEW_RE = re.compile(r"(?<![\w_])new\b")
 ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
 ASSERT_INCLUDE_RE = re.compile(r'#\s*include\s*[<"](cassert|assert\.h)[>"]')
 CONST_CAST_RE = re.compile(r"(?<![\w_])const_cast\s*<")
+ATOI_RE = re.compile(r"(?<![\w.>])ato(?:i|ll|l|f)\s*\(")
 
 # Wall-clock reads. steady_clock is as banned as system_clock: Timer wraps
 # it, and a second timing source would fork the determinism audit.
@@ -295,6 +301,11 @@ def check_code_rules(ctx: FileContext, findings: list) -> None:
         if ASSERT_INCLUDE_RE.search(line):
             findings.append((rel, lineno, "no-assert",
                              "<cassert> include banned; use common/check.h"))
+        if ATOI_RE.search(line):
+            findings.append((rel, lineno, "no-atoi",
+                             "atoi/atol/atoll/atof banned (junk reads as "
+                             "0, no overflow check); use common/flags.h "
+                             "or strto* with an end check"))
         if (rel.parts[0] == "src" and rel not in CONST_CAST_ALLOWED
                 and CONST_CAST_RE.search(line)):
             findings.append((rel, lineno, "no-const-cast",

@@ -109,6 +109,25 @@ class CodeRules(unittest.TestCase):
                                   rel="tests/fake_test.cc")
         self.assertNotIn("no-wallclock", rules_of(findings))
 
+    def test_atoi_family_flagged_in_every_source_dir(self):
+        for rel in ("src/core/fake.cc", "tests/fake_test.cc",
+                    "bench/fake_bench.cc", "examples/fake_cli.cpp"):
+            for snippet in ("int w = std::atoi(v);\n",
+                            "long n = atol(v);\n",
+                            "auto s = ::atoll(v);\n",
+                            "double d = std::atof (v);\n"):
+                self.assertIn("no-atoi",
+                              rules_of(self.run_rules(snippet, rel=rel)),
+                              f"{rel}: {snippet}")
+
+    def test_atoi_not_matched_in_comments_strings_or_lookalikes(self):
+        for snippet in ("// std::atoi(v) was the old parser\n",
+                        'const char* s = "atof(x)";\n',
+                        "auto x = my_atoi(v); auto y = obj.atof(v);\n",
+                        "auto z = std::strtoull(v, &end, 10);\n"):
+            self.assertNotIn("no-atoi", rules_of(self.run_rules(snippet)),
+                             snippet)
+
 
 class HotAllocations(unittest.TestCase):
     HOT = "// FACTION_HOT: steady state\n"
