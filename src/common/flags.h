@@ -1,6 +1,7 @@
 #ifndef FACTION_COMMON_FLAGS_H_
 #define FACTION_COMMON_FLAGS_H_
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstddef>
@@ -8,58 +9,71 @@
 #include <cstdio>
 #include <cstdlib>
 
-// Strict command-line value parsers shared by faction_cli and the bench
-// binaries. Each accepts only a token that parses in full; on failure it
-// prints the flag and token to stderr, leaves *out untouched, and returns
-// false.
+// Strict value parsers shared by faction_cli, the bench binaries and the
+// scenario DSL. Each accepts only a token that parses in full. The Parse*
+// cores print nothing: they return nullptr on success, or else a short
+// reason and leave *out untouched. The *Flag wrappers print the flag, the
+// reason and the token to stderr and return false.
 
 namespace faction {
 
-/// strtod wrapper: the whole token must parse, to a finite value.
-inline bool ParseDoubleFlag(const char* flag, const char* token,
-                            double* out) {
+/// strtod core: the whole token must parse, to a finite value. Unlike bare
+/// strtod it refuses leading blanks.
+inline const char* ParseDouble(const char* token, double* out) {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(token, &end);
-  if (end == token || *end != '\0') {
-    std::fprintf(stderr, "%s: not a number: '%s'\n", flag, token);
-    return false;
+  if (std::isspace(static_cast<unsigned char>(token[0])) || end == token ||
+      *end != '\0') {
+    return "not a number";
   }
-  if (errno == ERANGE || !std::isfinite(value)) {
-    std::fprintf(stderr, "%s: out of range: '%s'\n", flag, token);
-    return false;
-  }
+  if (errno == ERANGE || !std::isfinite(value)) return "out of range";
   *out = value;
-  return true;
+  return nullptr;
 }
 
-/// strtoull wrapper: digits only, no overflow. strtoull alone would skip
+/// strtoull core: digits only, no overflow. strtoull alone would skip
 /// leading blanks, wrap "-1" to 2^64-1, and read "200x" as 200.
-inline bool ParseUintFlag(const char* flag, const char* token,
-                          std::uint64_t* out) {
+inline const char* ParseUint(const char* token, std::uint64_t* out) {
   errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(token, &end, 10);
   if (token[0] < '0' || token[0] > '9' || *end != '\0') {
-    std::fprintf(stderr, "%s: not a non-negative integer: '%s'\n", flag,
-                 token);
-    return false;
+    return "not a non-negative integer";
   }
-  if (errno == ERANGE) {
-    std::fprintf(stderr, "%s: out of range: '%s'\n", flag, token);
-    return false;
-  }
+  if (errno == ERANGE) return "out of range";
   *out = static_cast<std::uint64_t>(value);
-  return true;
+  return nullptr;
 }
 
-/// ParseUintFlag into a std::size_t.
+/// ParseUint into a std::size_t.
+inline const char* ParseSize(const char* token, std::size_t* out) {
+  std::uint64_t value = 0;
+  if (const char* why = ParseUint(token, &value)) return why;
+  *out = static_cast<std::size_t>(value);
+  return nullptr;
+}
+
+/// Shared tail of the *Flag wrappers: reports a refused token.
+inline bool FlagParsed(const char* flag, const char* token, const char* why) {
+  if (why == nullptr) return true;
+  std::fprintf(stderr, "%s: %s: '%s'\n", flag, why, token);
+  return false;
+}
+
+inline bool ParseDoubleFlag(const char* flag, const char* token,
+                            double* out) {
+  return FlagParsed(flag, token, ParseDouble(token, out));
+}
+
+inline bool ParseUintFlag(const char* flag, const char* token,
+                          std::uint64_t* out) {
+  return FlagParsed(flag, token, ParseUint(token, out));
+}
+
 inline bool ParseSizeFlag(const char* flag, const char* token,
                           std::size_t* out) {
-  std::uint64_t value = 0;
-  if (!ParseUintFlag(flag, token, &value)) return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
+  return FlagParsed(flag, token, ParseSize(token, out));
 }
 
 }  // namespace faction

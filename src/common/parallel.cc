@@ -1,22 +1,22 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "common/check.h"
+#include "common/job_system.h"
 
 namespace faction {
 
 namespace {
 
-// True while the current thread is executing a ParallelFor body (worker or
-// caller); nested calls detect this and run serially inline.
+// True while the current thread is executing a ParallelFor body or any
+// JobSystem job; ParallelFor calls made then run serially inline.
 thread_local bool tl_inside_parallel = false;
 
 int DefaultThreadCount() {
@@ -32,158 +32,77 @@ int DefaultThreadCount() {
   return hw == 0U ? 1 : static_cast<int>(hw);
 }
 
-// A parallel region handed to the pool: erased slot body + context. Plain
-// pointers (not std::function) so dispatching a region never allocates.
-using SlotBody = void (*)(const void* ctx, int slot);
-
-// Persistent worker pool. One parallel region runs at a time; workers park
-// on a condition variable between regions, so a region costs two broadcast
-// notifications instead of thread spawns. All shared state is guarded by
-// mu_; the caller's final wait on done_cv_ establishes the happens-before
-// edge between worker writes and the caller reading the results.
-class ThreadPool {
- public:
-  static ThreadPool& Instance() {
-    static ThreadPool pool;
-    return pool;
-  }
-
-  int thread_count() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return target_threads_;
-  }
-
-  void set_thread_count(int n) {
-    FACTION_CHECK(!tl_inside_parallel);
-    n = std::max(1, n);
-    std::unique_lock<std::mutex> lock(mu_);
-    FACTION_CHECK(region_body_ == nullptr);
-    StopWorkers(&lock);
-    target_threads_ = n;
-    // Workers are respawned lazily by the next Run().
-  }
-
-  /// Executes body(ctx, slot) for every slot in [0, n_tasks) across the
-  /// caller (slot 0) and the pool workers, then rethrows the first stored
-  /// exception, if any.
-  void Run(int n_tasks, SlotBody body, const void* ctx) {
-    // Serialize concurrent top-level regions (nested calls never reach
-    // here: they run inline on the worker).
-    std::lock_guard<std::mutex> run_lock(run_mu_);
-    std::exception_ptr caller_error;
-    std::unique_lock<std::mutex> lock(mu_);
-    FACTION_CHECK(region_body_ == nullptr);
-    EnsureWorkers();
-    region_body_ = body;
-    region_ctx_ = ctx;
-    region_tasks_ = n_tasks;
-    arrived_ = 0;
-    error_ = nullptr;
-    ++epoch_;
-    work_cv_.notify_all();
-    lock.unlock();
-
-    tl_inside_parallel = true;
-    try {
-      body(ctx, 0);
-    } catch (...) {
-      caller_error = std::current_exception();
-    }
-    tl_inside_parallel = false;
-
-    lock.lock();
-    done_cv_.wait(lock, [&] {
-      return arrived_ == static_cast<int>(workers_.size());
-    });
-    region_body_ = nullptr;
-    region_ctx_ = nullptr;
-    std::exception_ptr error = error_ != nullptr ? error_ : caller_error;
-    error_ = nullptr;
-    lock.unlock();
-    if (error != nullptr) std::rethrow_exception(error);
-  }
-
- private:
-  ThreadPool() : target_threads_(DefaultThreadCount()) {}
-
-  ~ThreadPool() {
-    std::unique_lock<std::mutex> lock(mu_);
-    StopWorkers(&lock);
-  }
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Requires mu_ held; spawns the background workers if absent.
-  void EnsureWorkers() {
-    if (!workers_.empty() || target_threads_ <= 1) return;
-    workers_.reserve(static_cast<std::size_t>(target_threads_ - 1));
-    for (int i = 0; i < target_threads_ - 1; ++i) {
-      workers_.emplace_back([this, i] { WorkerMain(i); });
-    }
-  }
-
-  // Requires mu_ held via *lock; joins and clears all workers.
-  void StopWorkers(std::unique_lock<std::mutex>* lock) {
-    if (workers_.empty()) return;
-    stop_ = true;
-    work_cv_.notify_all();
-    lock->unlock();
-    for (std::thread& t : workers_) t.join();
-    lock->lock();
-    workers_.clear();
-    stop_ = false;
-  }
-
-  void WorkerMain(int worker_index) {
-    std::uint64_t seen_epoch = 0;
-    for (;;) {
-      SlotBody body = nullptr;
-      const void* ctx = nullptr;
-      int n_tasks = 0;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
-        if (stop_) return;
-        seen_epoch = epoch_;
-        body = region_body_;
-        ctx = region_ctx_;
-        n_tasks = region_tasks_;
-      }
-      const int slot = worker_index + 1;
-      if (slot < n_tasks) {
-        tl_inside_parallel = true;
-        try {
-          body(ctx, slot);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mu_);
-          if (error_ == nullptr) error_ = std::current_exception();
-        }
-        tl_inside_parallel = false;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (++arrived_ == static_cast<int>(workers_.size())) {
-          done_cv_.notify_one();
-        }
-      }
-    }
-  }
-
-  std::mutex run_mu_;  // serializes whole regions
-  std::mutex mu_;      // guards all fields below
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> workers_;
-  int target_threads_ = 1;
-  bool stop_ = false;
-  std::uint64_t epoch_ = 0;
-  SlotBody region_body_ = nullptr;
-  const void* region_ctx_ = nullptr;
-  int region_tasks_ = 0;
-  int arrived_ = 0;
-  std::exception_ptr error_;
+// The process-wide JobSystem regions fork onto: threads - 1 workers, the
+// caller of a region being the last thread. Built by the first region that
+// needs it and dropped by SetParallelThreadCount. Its arena holds one
+// region's worth of jobs (threads - 1); a slot that a concurrent region
+// cannot submit runs on that region's caller.
+struct Scheduler {
+  std::mutex mu;  // guards pool creation and replacement
+  std::atomic<int> threads{DefaultThreadCount()};
+  std::unique_ptr<JobSystem> pool;
 };
+
+Scheduler& GetScheduler() {
+  static Scheduler scheduler;
+  return scheduler;
+}
+
+JobSystem& Pool() {
+  Scheduler& s = GetScheduler();
+  std::lock_guard<std::mutex> lock(s.mu);
+  if (s.pool == nullptr) {
+    JobSystem::Options options;
+    options.workers = s.threads.load() - 1;
+    options.max_jobs = static_cast<std::size_t>(options.workers);
+    s.pool = std::make_unique<JobSystem>(options);
+  }
+  return *s.pool;
+}
+
+// Bumped (and notified) each time a slot job returns, in any region. A
+// joining caller blocks on it instead of spinning; it is process-wide
+// because a region's own fields die with the caller's stack frame the
+// moment its last job is seen returning.
+std::atomic<std::uint32_t> g_slot_jobs_returned{0};
+
+// One fork-join region, on its caller's stack. Slot s owns the static chunk
+// run [nchunks*s/n, nchunks*(s+1)/n), so which thread claims a slot never
+// changes a result.
+struct Region {
+  internal::ErasedChunkBody body;
+  const void* ctx;
+  std::size_t begin, end, grain, nchunks, n_tasks;
+  std::atomic<std::size_t> next_slot{0};
+  std::atomic<std::size_t> returned{0};  // slot jobs that have returned
+  std::atomic_flag failed{};  // set by the first slot to throw
+  std::exception_ptr error{};
+};
+
+// Claims and runs slots until none remain. A throwing slot stops at the
+// throwing chunk; the first exception is kept for the caller.
+void RunSlots(Region* r) {
+  for (std::size_t s = r->next_slot.fetch_add(1); s < r->n_tasks;
+       s = r->next_slot.fetch_add(1)) {
+    try {
+      const std::size_t chunk_hi = r->nchunks * (s + 1) / r->n_tasks;
+      for (std::size_t c = r->nchunks * s / r->n_tasks; c < chunk_hi; ++c) {
+        const std::size_t lo = r->begin + c * r->grain;
+        r->body(r->ctx, c, lo, std::min(r->end, lo + r->grain));
+      }
+    } catch (...) {
+      if (!r->failed.test_and_set()) r->error = std::current_exception();
+    }
+  }
+}
+
+void SlotJob(void* ctx) {
+  Region* r = static_cast<Region*>(ctx);
+  RunSlots(r);
+  r->returned.fetch_add(1);  // the job's last touch of *r
+  g_slot_jobs_returned.fetch_add(1);
+  g_slot_jobs_returned.notify_all();
+}
 
 }  // namespace
 
@@ -196,10 +115,16 @@ ScopedForceSerialParallel::~ScopedForceSerialParallel() {
   tl_inside_parallel = prev_;
 }
 
-int ParallelThreadCount() { return ThreadPool::Instance().thread_count(); }
+int ParallelThreadCount() {
+  return GetScheduler().threads.load();
+}
 
 void SetParallelThreadCount(int n) {
-  ThreadPool::Instance().set_thread_count(n);
+  FACTION_CHECK(!tl_inside_parallel);
+  Scheduler& s = GetScheduler();
+  std::lock_guard<std::mutex> lock(s.mu);
+  s.pool.reset();  // waits out the epilogues of returned slot jobs
+  s.threads.store(std::max(1, n));
 }
 
 std::size_t ParallelChunkCount(std::size_t begin, std::size_t end,
@@ -227,29 +152,25 @@ void ParallelForChunksErased(std::size_t begin, std::size_t end,
     }
     return;
   }
-  // Static partition: task `slot` owns a fixed contiguous run of chunks.
-  // The region descriptor lives on the caller's stack; Run() blocks until
-  // every slot retires, so borrowing it from workers is safe.
-  struct Region {
-    ErasedChunkBody body;
-    const void* ctx;
-    std::size_t begin, end, grain, nchunks, n_tasks;
-  };
-  const Region region{body, ctx, begin, end, g, nchunks, n_tasks};
-  ThreadPool::Instance().Run(
-      static_cast<int>(n_tasks),
-      [](const void* rctx, int slot) {
-        const Region& r = *static_cast<const Region*>(rctx);
-        const std::size_t s = static_cast<std::size_t>(slot);
-        const std::size_t chunk_lo = r.nchunks * s / r.n_tasks;
-        const std::size_t chunk_hi = r.nchunks * (s + 1) / r.n_tasks;
-        for (std::size_t c = chunk_lo; c < chunk_hi; ++c) {
-          const std::size_t lo = r.begin + c * r.grain;
-          const std::size_t hi = std::min(r.end, lo + r.grain);
-          r.body(r.ctx, c, lo, hi);
-        }
-      },
-      &region);
+  Region region{body, ctx, begin, end, g, nchunks, n_tasks};
+  JobSystem& pool = Pool();
+  std::size_t submitted = 0;
+  while (submitted + 1 < n_tasks && pool.TrySubmit(&SlotJob, &region)) {
+    ++submitted;
+  }
+  {
+    ScopedForceSerialParallel serial;
+    RunSlots(&region);
+  }
+  // Helping join: every submitted job must have returned before the region
+  // leaves this frame. Run what is queued (a job finding no slot left
+  // returns at once) and block only when nothing is runnable.
+  for (;;) {
+    const std::uint32_t seen = g_slot_jobs_returned.load();
+    if (region.returned.load() == submitted) break;
+    if (!pool.RunOne()) g_slot_jobs_returned.wait(seen);
+  }
+  if (region.error != nullptr) std::rethrow_exception(region.error);
 }
 
 }  // namespace internal

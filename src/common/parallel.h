@@ -7,8 +7,12 @@
 
 // Deterministic parallel execution layer.
 //
-// A single persistent thread pool (no per-call thread spawns) backs
-// ParallelFor. The determinism contract:
+// ParallelFor is a fork-join region on the process's one scheduler, a
+// JobSystem (common/job_system.h) with ParallelThreadCount() - 1 workers:
+// the caller and up to n - 1 slot jobs claim n slots, each a fixed run of
+// chunks, and the caller helps until every job has returned. Top-level
+// regions from several threads run concurrently; a slot the full job arena
+// cannot take runs on its caller. The determinism contract:
 //
 //   * The index range is split into chunks of `grain` consecutive indices.
 //     The chunk layout depends ONLY on (begin, end, grain) — never on the
@@ -28,7 +32,8 @@
 // chunk bookkeeping; too-large grains starve threads on short ranges.
 //
 // Nested ParallelFor calls are safe: a call made from inside a parallel
-// body runs serially inline on the calling worker.
+// body, or from inside any JobSystem job, runs serially inline on the
+// calling thread and submits nothing.
 //
 // The entry points are templates that type-erase the body into a plain
 // function pointer + context pointer. Unlike std::function — whose
@@ -42,9 +47,9 @@ namespace faction {
 /// FACTION_NUM_THREADS (default: hardware concurrency).
 int ParallelThreadCount();
 
-/// Overrides the thread count at runtime and rebuilds the pool; used by
-/// tests and embedders. Values < 1 clamp to 1. Must not be called from
-/// inside a ParallelFor body.
+/// Overrides the thread count at runtime and rebuilds the workers; used by
+/// tests and embedders. Values < 1 clamp to 1. Must not run inside, or
+/// concurrently with, any ParallelFor.
 void SetParallelThreadCount(int n);
 
 /// Number of chunks ParallelFor will form for this range/grain. Callers
@@ -55,13 +60,13 @@ std::size_t ParallelChunkCount(std::size_t begin, std::size_t end,
 
 /// RAII guard forcing every ParallelFor issued by the current thread to run
 /// serially inline while the guard lives — the same code path a nested
-/// ParallelFor takes. The serve job system (src/serve) wraps each job in
-/// one: its workers multiplex many independent sessions, so intra-kernel
-/// parallelism would only serialize on the single process-wide pool, and
-/// the inline path keeps job execution allocation-free (the pool spawns
-/// its workers lazily on first use). Results are unchanged by construction:
-/// the determinism contract above makes every parallel result bitwise
-/// identical to the serial path. Guards nest.
+/// ParallelFor takes. JobSystem::Execute wraps every job body in one, so a
+/// serve step or a region slot never forks again: serve workers multiplex
+/// many independent sessions, and the inline path keeps job execution
+/// allocation-free (the scheduler builds its workers lazily on first use).
+/// Results are unchanged by construction: the determinism contract above
+/// makes every parallel result bitwise identical to the serial path.
+/// Guards nest.
 class ScopedForceSerialParallel {
  public:
   ScopedForceSerialParallel();
@@ -85,9 +90,9 @@ using ErasedChunkBody = void (*)(const void* ctx, std::size_t chunk,
                                  std::size_t chunk_end);
 
 /// Allocation-free core of ParallelFor/ParallelForChunks. Splits
-/// [begin, end) into grain-sized chunks and runs them across the pool per
-/// the determinism contract. The first exception thrown by any chunk is
-/// rethrown on the calling thread after all chunks retire.
+/// [begin, end) into grain-sized chunks and runs them as a fork-join region
+/// per the determinism contract. The first exception thrown by any chunk is
+/// rethrown on the calling thread after every slot job has returned.
 void ParallelForChunksErased(std::size_t begin, std::size_t end,
                              std::size_t grain, ErasedChunkBody body,
                              const void* ctx);

@@ -25,7 +25,10 @@ namespace faction {
 /// training, density refits, drift detection, evaluation), and counters are
 /// only bumped from serial orchestration code, so their values are
 /// identical for any worker-thread count (the determinism contract the
-/// parallel layer already guarantees for numeric results).
+/// parallel layer already guarantees for numeric results). The scheduler
+/// (common/job_system.h) never writes telemetry, since its activity varies
+/// with timing; ServeRuntime::Drain() publishes its steal and park counts
+/// as "serve.jobs.stolen" and "serve.workers.parked".
 ///
 /// Counter names are dot-separated lowercase paths ("evaluator.tasks",
 /// "faction.density_full_refit"). Histograms observing wall-clock durations

@@ -1,11 +1,9 @@
 #include "data/scenario.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
 #include <set>
 
+#include "common/flags.h"
 #include "common/rng.h"
 
 namespace faction {
@@ -13,31 +11,6 @@ namespace faction {
 namespace {
 
 // ------------------------------------------------------------ DSL parsing
-
-// Strict double parse: the whole token must convert, finitely.
-bool ParseDoubleStrict(const std::string& token, double* out) {
-  if (token.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (errno == ERANGE || end != token.c_str() + token.size() ||
-      !std::isfinite(value)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-// Strict non-negative integer parse (digits only, no sign, no overflow).
-bool ParseSizeStrict(const std::string& token, std::size_t* out) {
-  if (token.empty() || token[0] == '-' || token[0] == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (errno == ERANGE || end != token.c_str() + token.size()) return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
 
 Status BadSpec(const std::string& what, const std::string& token) {
   return Status::InvalidArgument("scenario: " + what + ": '" + token + "'");
@@ -69,7 +42,7 @@ Status ParseDrift(const std::string& value, ScenarioConfig* config) {
   if (shape == "gradual") {
     config->drift = ScenarioConfig::DriftShape::kGradual;
     if (!arg.empty()) {
-      if (!ParseSizeStrict(arg, &config->gradual_steps) ||
+      if (ParseSize(arg.c_str(), &config->gradual_steps) != nullptr ||
           config->gradual_steps == 0 || config->gradual_steps > 16) {
         return BadSpec("gradual steps must be an integer in [1, 16]", value);
       }
@@ -79,7 +52,7 @@ Status ParseDrift(const std::string& value, ScenarioConfig* config) {
   if (shape == "recurring") {
     config->drift = ScenarioConfig::DriftShape::kRecurring;
     if (!arg.empty()) {
-      if (!ParseSizeStrict(arg, &config->recurring_cycles) ||
+      if (ParseSize(arg.c_str(), &config->recurring_cycles) != nullptr ||
           config->recurring_cycles == 0 || config->recurring_cycles > 16) {
         return BadSpec("recurring cycles must be an integer in [1, 16]",
                        value);
@@ -320,16 +293,16 @@ Result<ScenarioConfig> ParseScenario(const std::string& spec) {
         return BadSpec("unknown task order", value);
       }
     } else if (key == "label_noise") {
-      if (!ParseDoubleStrict(value, &config.label_noise) ||
+      if (ParseDouble(value.c_str(), &config.label_noise) != nullptr ||
           config.label_noise < 0.0 || config.label_noise > 0.5) {
         return BadSpec("label_noise must be a number in [0, 0.5]", value);
       }
     } else if (key == "label_delay") {
-      if (!ParseSizeStrict(value, &config.label_delay)) {
+      if (ParseSize(value.c_str(), &config.label_delay) != nullptr) {
         return BadSpec("label_delay must be a non-negative integer", value);
       }
     } else if (key == "imbalance") {
-      if (!ParseDoubleStrict(value, &config.group_imbalance) ||
+      if (ParseDouble(value.c_str(), &config.group_imbalance) != nullptr ||
           config.group_imbalance < 0.0 || config.group_imbalance > 0.9) {
         return BadSpec("imbalance must be a number in [0, 0.9]", value);
       }
@@ -362,19 +335,20 @@ std::string CanonicalScenarioSpec(const ScenarioConfig& config) {
       spec += ";order=shuffle";
       break;
   }
-  // Short round-trippable decimals: the config values come from the parser,
-  // so %g at default precision reproduces them.
-  char buf[48];
+  // Shortest decimals that parse back to the same double ("0.05" stays
+  // "0.05"; %g would cut 0.123456789 to 0.123457).
+  const auto shortest = [](double value) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+  };
   if (config.label_noise > 0.0) {
-    std::snprintf(buf, sizeof(buf), ";label_noise=%g", config.label_noise);
-    spec += buf;
+    spec += ";label_noise=" + shortest(config.label_noise);
   }
   if (config.label_delay > 0) {
     spec += ";label_delay=" + std::to_string(config.label_delay);
   }
   if (config.group_imbalance > 0.0) {
-    std::snprintf(buf, sizeof(buf), ";imbalance=%g", config.group_imbalance);
-    spec += buf;
+    spec += ";imbalance=" + shortest(config.group_imbalance);
   }
   return spec;
 }

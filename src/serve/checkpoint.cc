@@ -12,10 +12,11 @@
 
 #include "common/check.h"
 #include "common/fsio.h"
+#include "common/job_system.h"
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/telemetry.h"
 #include "common/token_reader.h"
-#include "serve/job_system.h"
 #include "serve/session.h"
 
 namespace faction {
@@ -213,39 +214,29 @@ Result<std::vector<CheckpointManifestEntry>> CheckpointManager::ReadManifest(
 
 namespace {
 
-/// Context of one parallel shard decode in MergeSufficientStats.
+/// One shard's decode in MergeSufficientStats.
 struct ShardDecode {
-  const std::string* path = nullptr;
   SessionState state;
   Status status;
 };
-
-void DecodeShardJob(void* ctx) {
-  auto* shard = static_cast<ShardDecode*>(ctx);
-  shard->status = DecodeSessionStateFromFile(*shard->path, &shard->state);
-}
 
 }  // namespace
 
 Result<FairDensityEstimator> MergeSufficientStats(
     const std::vector<std::string>& checkpoint_paths,
-    const CovarianceConfig& config, JobSystem* jobs) {
+    const CovarianceConfig& config) {
   if (checkpoint_paths.empty()) {
     return Status::InvalidArgument("MergeSufficientStats: no shards given");
   }
+  // Decoding is pure and per shard, so shards decode in parallel; the fold
+  // below stays in path order.
   std::vector<ShardDecode> shards(checkpoint_paths.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    shards[i].path = &checkpoint_paths[i];
-  }
-  if (jobs != nullptr && shards.size() > 1) {
-    std::vector<JobSystem::JobHandle> handles(shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      handles[i] = jobs->Submit(&DecodeShardJob, &shards[i]);
+  ParallelFor(0, shards.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      shards[i].status =
+          DecodeSessionStateFromFile(checkpoint_paths[i], &shards[i].state);
     }
-    for (const JobSystem::JobHandle& handle : handles) jobs->Wait(handle);
-  } else {
-    for (ShardDecode& shard : shards) DecodeShardJob(&shard);
-  }
+  });
   for (const ShardDecode& shard : shards) {
     FACTION_RETURN_IF_ERROR(shard.status);
   }

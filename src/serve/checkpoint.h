@@ -166,7 +166,7 @@ struct WarmStartReport {
 };
 
 /// Cross-shard sufficient-stats merge (ROADMAP item 1): decodes each
-/// shard's session checkpoint (in parallel when `jobs` is given), then
+/// shard's session checkpoint (one ParallelFor chunk per shard), then
 /// folds every shard density into one global estimator in path order via
 /// FairDensityEstimator::MergeFrom — O(A * d^2) additions plus a single
 /// re-factorization per touched component, independent of how many samples
@@ -174,7 +174,7 @@ struct WarmStartReport {
 /// the shards disagree on dimension/forgetting mode.
 Result<FairDensityEstimator> MergeSufficientStats(
     const std::vector<std::string>& checkpoint_paths,
-    const CovarianceConfig& config, JobSystem* jobs = nullptr);
+    const CovarianceConfig& config);
 
 }  // namespace faction
 

@@ -123,6 +123,11 @@ bool ServeRuntime::Offer(ServeSession* session, const Example& example) {
   return true;
 }
 
-void ServeRuntime::Drain() { jobs_.WaitIdle(); }
+void ServeRuntime::Drain() {
+  jobs_.WaitIdle();
+  const JobSystem::Stats stats = jobs_.TakeStats();
+  TelemetryCount("serve.jobs.stolen", stats.stolen);
+  TelemetryCount("serve.workers.parked", stats.parked);
+}
 
 }  // namespace faction

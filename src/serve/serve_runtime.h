@@ -6,10 +6,10 @@
 #include <memory>
 #include <string>
 
+#include "common/job_system.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "serve/checkpoint.h"
-#include "serve/job_system.h"
 #include "serve/session.h"
 #include "serve/session_registry.h"
 
@@ -64,6 +64,8 @@ class ServeRuntime {
 
   /// Blocks until every scheduled drain (and every drain it reschedules)
   /// has finished. Quiescent once no producer is offering concurrently.
+  /// Then publishes the job system's TakeStats as the telemetry counters
+  /// "serve.jobs.stolen" and "serve.workers.parked".
   void Drain();
 
   /// Enables background checkpointing (cold; call before serving starts).

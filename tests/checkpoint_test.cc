@@ -17,12 +17,12 @@
 
 #include "gtest/gtest.h"
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/streaming_faction.h"
 #include "data/dataset.h"
 #include "density/fair_density.h"
 #include "serve/checkpoint.h"
-#include "serve/job_system.h"
 #include "serve/serve_runtime.h"
 #include "serve/session.h"
 #include "serve/state_codec.h"
@@ -836,7 +836,7 @@ TEST(MergeSufficientStats, DensityMergeMatchesUnionFit) {
 }
 
 // Pipeline level: shard session checkpoints on disk -> one global
-// estimator, identical whether shards decode serially or on a job system.
+// estimator, identical whether shards decode on one thread or four.
 TEST(MergeSufficientStats, FoldsShardCheckpointsFromDisk) {
   const std::string dir = MakeScratchDir("merge");
   const StreamingFactionConfig config = SmallConfig(61);
@@ -860,22 +860,21 @@ TEST(MergeSufficientStats, FoldsShardCheckpointsFromDisk) {
     paths.push_back(path);
   }
 
+  const int saved_threads = ParallelThreadCount();
+  SetParallelThreadCount(1);
   Result<FairDensityEstimator> serial =
       MergeSufficientStats(paths, config.covariance);
+  SetParallelThreadCount(4);
+  Result<FairDensityEstimator> parallel =
+      MergeSufficientStats(paths, config.covariance);
+  SetParallelThreadCount(saved_threads);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   EXPECT_EQ(expected_total, serial.value().total_count());
-
-  JobSystem::Options jobs_options;
-  jobs_options.workers = 2;
-  jobs_options.max_jobs = 8;
-  JobSystem jobs(jobs_options);
-  Result<FairDensityEstimator> parallel =
-      MergeSufficientStats(paths, config.covariance, &jobs);
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_EQ(expected_total, parallel.value().total_count());
 
-  // Decode is pure and the fold is path-ordered in both modes, so the two
-  // merged estimators agree bitwise.
+  // Decode is pure and the fold is path-ordered at any thread count, so
+  // the two merged estimators agree bitwise.
   Rng probe_rng(31);
   const std::size_t d = serial.value().dim();
   for (int probe = 0; probe < 8; ++probe) {

@@ -1,9 +1,12 @@
-// Seeded mutation fuzz over the text decoders: the session checkpoint codec
-// (a grow-only and a windowed session) and the v2 model serializer. Each
-// trial substitutes 1-6 bytes of a valid file built in-test from fixed
-// seeds. Every mutant must either be rejected with a Status or survive
-// decode, restore, and enough arrivals for a refit and a window eviction
-// (a model survivor must predict). An abort anywhere fails the suite.
+// Seeded mutation fuzz over the text decoders and parsers: the session
+// checkpoint codec (a grow-only and a windowed session), the v2 model
+// serializer, the checkpoint manifest reader and the scenario DSL (its
+// preset specs). Each trial substitutes 1-6 bytes (1-2 in a spec) of a
+// valid input built in-test from fixed seeds. Every mutant must either be rejected with a
+// Status or survive: a session survivor decodes, restores, and takes enough
+// arrivals for a refit and a window eviction; a model survivor predicts; a
+// scenario survivor re-parses from its canonical spec to the same config
+// and builds its stream. An abort anywhere fails the suite.
 //
 // Mutants that decode and run are counted as silent accepts: without a
 // per-record checksum the codec cannot tell a corrupted value from a real
@@ -20,7 +23,9 @@
 #include "common/rng.h"
 #include "core/streaming_faction.h"
 #include "data/dataset.h"
+#include "data/scenario.h"
 #include "nn/serialize.h"
+#include "serve/checkpoint.h"
 #include "serve/state_codec.h"
 
 namespace faction {
@@ -97,12 +102,20 @@ std::string ModelCorpus() {
   return os.str();
 }
 
-/// Substitutes 1-6 bytes, each with a different byte: half the time one
-/// that keeps a number a number, otherwise any byte.
-std::string Mutate(const std::string& text, Rng* rng) {
+std::string ManifestCorpus() {
+  return "faction-manifest v1\n"
+         "sessions 3\n"
+         "0 4 1024 session-0-g4.ckpt\n"
+         "7 2 512 session-7-g2.ckpt\n"
+         "12 9 2304 session-12-g9.ckpt\n";
+}
+
+/// Substitutes 1 to max_edits bytes, each with a different byte: half the
+/// time one that keeps a number a number, otherwise any byte.
+std::string Mutate(const std::string& text, int max_edits, Rng* rng) {
   static const std::string kNumeric = "0123456789abcdefpx+-. \n";
   std::string out = text;
-  const int edits = 1 + static_cast<int>(rng->UniformInt(6));
+  const int edits = 1 + static_cast<int>(rng->UniformInt(max_edits));
   for (int e = 0; e < edits; ++e) {
     const std::size_t pos = rng->UniformInt(out.size());
     char c = out[pos];
@@ -177,37 +190,100 @@ void RunModelTrial(const std::string& mutant, Tally* tally) {
   ++tally->accepted;
 }
 
-TEST(CodecFuzz, SessionAndModelMutantsNeverAbort) {
+void RunManifestTrial(const std::string& mutant, Tally* tally) {
+  const std::string path =
+      testing::TempDir() + "faction_codec_fuzz_manifest";
+  {
+    std::ofstream f(path, std::ios::trunc | std::ios::binary);
+    f << mutant;
+  }
+  const Result<std::vector<CheckpointManifestEntry>> entries =
+      CheckpointManager::ReadManifest(path);
+  std::remove(path.c_str());
+  if (!entries.ok()) {
+    ++tally->rejected;
+    return;
+  }
+  for (const CheckpointManifestEntry& e : entries.value()) {
+    EXPECT_FALSE(e.filename.empty());
+  }
+  ++tally->accepted;
+}
+
+void ExpectSameScenario(const ScenarioConfig& a, const ScenarioConfig& b,
+                        const std::string& spec) {
+  EXPECT_EQ(a.base, b.base) << spec;
+  EXPECT_EQ(a.drift, b.drift) << spec;
+  EXPECT_EQ(a.gradual_steps, b.gradual_steps) << spec;
+  EXPECT_EQ(a.recurring_cycles, b.recurring_cycles) << spec;
+  EXPECT_EQ(a.order, b.order) << spec;
+  EXPECT_EQ(a.label_noise, b.label_noise) << spec;
+  EXPECT_EQ(a.label_delay, b.label_delay) << spec;
+  EXPECT_EQ(a.group_imbalance, b.group_imbalance) << spec;
+}
+
+/// A spec that parses must re-parse from its canonical form to the same
+/// config, and its stream must build (or fail with a Status).
+void RunScenarioTrial(const std::string& mutant, Tally* tally) {
+  const Result<ScenarioConfig> parsed = ParseScenario(mutant);
+  if (!parsed.ok()) {
+    ++tally->rejected;
+    return;
+  }
+  KeepReproducer(mutant);
+  const std::string canonical = CanonicalScenarioSpec(parsed.value());
+  const Result<ScenarioConfig> reparsed = ParseScenario(canonical);
+  ASSERT_TRUE(reparsed.ok()) << mutant << " -> " << canonical;
+  ExpectSameScenario(parsed.value(), reparsed.value(), mutant);
+  StreamScale scale;
+  scale.samples_per_task = 24;
+  (void)MakeScenarioStream(parsed.value(), scale);
+  ++tally->accepted;
+}
+
+TEST(CodecFuzz, MutantsNeverAbort) {
   struct Corpus {
     const char* name;
-    std::string text;
-    bool session;
+    std::vector<std::string> texts;  // trial t mutates texts[t % size]
+    int max_edits;  // a spec is a few dozen bytes: two edits, not six
+    void (*run)(const std::string&, Tally*);
   };
+  std::vector<std::string> specs = ScenarioPresetSpecs();
+  // Pinned regression input: %g once cut these to six digits, so the
+  // canonical spec re-parsed to a different config.
+  specs.push_back("nysf;label_noise=0.123456789;imbalance=0.30000000000000004");
   const Corpus corpora[] = {
-      {"grow-only session", SessionCorpus(false), true},
-      {"windowed session", SessionCorpus(true), true},
-      {"v2 model", ModelCorpus(), false},
+      {"grow-only session", {SessionCorpus(false)}, 6, &RunSessionTrial},
+      {"windowed session", {SessionCorpus(true)}, 6, &RunSessionTrial},
+      {"v2 model", {ModelCorpus()}, 6, &RunModelTrial},
+      {"manifest", {ManifestCorpus()}, 6, &RunManifestTrial},
+      {"scenario presets", specs, 2, &RunScenarioTrial},
   };
   Rng rng(kFuzzSeed);
   int trials = 0;
   for (const Corpus& corpus : corpora) {
+    std::size_t bytes = 0;
+    for (const std::string& text : corpus.texts) {
+      // The unmutated corpus itself must be accepted.
+      Tally clean;
+      corpus.run(text, &clean);
+      EXPECT_EQ(1, clean.accepted) << corpus.name << ": " << text;
+      bytes += text.size();
+    }
     Tally tally;
     for (int t = 0; t < kTrialsPerCorpus; ++t) {
-      const std::string mutant = Mutate(corpus.text, &rng);
-      if (corpus.session) {
-        RunSessionTrial(mutant, &tally);
-      } else {
-        RunModelTrial(mutant, &tally);
-      }
+      const std::string& text =
+          corpus.texts[static_cast<std::size_t>(t) % corpus.texts.size()];
+      corpus.run(Mutate(text, corpus.max_edits, &rng), &tally);
       ++trials;
     }
     std::printf("codec_fuzz %-18s %5zu bytes  %d trials: %d rejected, %d "
                 "silently accepted, 0 aborts\n",
-                corpus.name, corpus.text.size(), kTrialsPerCorpus,
-                tally.rejected, tally.accepted);
+                corpus.name, bytes, kTrialsPerCorpus, tally.rejected,
+                tally.accepted);
     EXPECT_EQ(kTrialsPerCorpus, tally.rejected + tally.accepted);
   }
-  EXPECT_GE(trials, 1000);
+  EXPECT_GE(trials, 2000);
   std::remove(kLastSurvivor);
 }
 

@@ -318,8 +318,9 @@ TEST(LoggingTest, LevelFilterRoundTrip) {
 }
 
 }  // namespace
-// The strict flag parsers shared by faction_cli and the bench binaries:
-// the whole token must parse, with no sign, junk or overflow.
+// The strict flag parsers shared by faction_cli, the bench binaries and
+// the scenario DSL: the whole token must parse, with no sign, blank, junk
+// or overflow.
 TEST(FlagParsers, AcceptWholeTokensOnly) {
   std::uint64_t u = 7;
   EXPECT_TRUE(ParseUintFlag("--seed", "18446744073709551615", &u));
@@ -334,10 +335,16 @@ TEST(FlagParsers, AcceptWholeTokensOnly) {
   double d = 0.0;
   EXPECT_TRUE(ParseDoubleFlag("--utilization", "0.25", &d));
   EXPECT_EQ(0.25, d);
-  for (const char* bad : {"", "abc", "0.5x", "nan", "inf", "1e999"}) {
+  for (const char* bad : {"", "abc", "0.5x", " 0.5", "nan", "inf",
+                          "1e999"}) {
     EXPECT_FALSE(ParseDoubleFlag("--utilization", bad, &d)) << bad;
   }
   EXPECT_EQ(0.25, d);  // failures leave the output untouched
+  // The non-printing cores behind the scenario DSL give the reason.
+  EXPECT_EQ(nullptr, ParseDouble("0.5", &d));
+  EXPECT_STREQ("not a number", ParseDouble(" 0.1", &d));
+  EXPECT_STREQ("out of range", ParseDouble("1e999", &d));
+  EXPECT_STREQ("not a non-negative integer", ParseSize(" 3", &n));
 }
 
 // The shared decoder reader: values parse in full, counts cannot outgrow

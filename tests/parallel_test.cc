@@ -2,10 +2,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
+#include "common/job_system.h"
 #include "common/rng.h"
 #include "core/fair_score.h"
 #include "density/fair_density.h"
@@ -128,6 +132,102 @@ TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
     }
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+// Top-level regions issued from several threads at once run concurrently
+// on the shared scheduler; each result stays bitwise the serial one.
+TEST(ParallelForTest, ConcurrentTopLevelRegionsMatchSerial) {
+  ThreadCountGuard guard;
+  Rng rng(17);
+  const Matrix a = RandomMatrix(48, 40, &rng);
+  const Matrix b = RandomMatrix(40, 36, &rng);
+  SetParallelThreadCount(1);
+  const Matrix serial = MatMul(a, b);
+  SetParallelThreadCount(4);
+  constexpr int kCallers = 4;
+  std::vector<int> mismatches(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 25; ++rep) {
+        if (MaxAbsDiff(MatMul(a, b), serial) != 0.0) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int t = 0; t < kCallers; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+}
+
+// At two threads the scheduler's job arena holds one slot job. While a
+// blocked region holds it, a second region cannot submit and must run all
+// of its slots on its caller instead of aborting.
+TEST(ParallelForTest, RegionOverflowingArenaRunsOnCaller) {
+  ThreadCountGuard guard;
+  SetParallelThreadCount(2);
+  std::atomic<int> started{0};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    ParallelFor(0, 2, 1, [&](std::size_t, std::size_t) {
+      ++started;
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  // Both slots running: one on the holder, one in the arena's only job.
+  while (started.load() < 2) std::this_thread::yield();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(64);
+  ParallelFor(0, ran_on.size(), 1, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      ran_on[i] = std::this_thread::get_id();
+    }
+  });
+  EXPECT_FALSE(release.load());
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
+  release = true;
+  holder.join();
+}
+
+std::size_t ProcessThreadCount() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator()));
+}
+
+// A ParallelFor inside a JobSystem job (a serve step) runs inline on the
+// job's thread and submits nothing: the scheduler, dropped by the thread
+// count change, is never rebuilt, so no worker thread appears.
+TEST(ParallelForTest, RegionInsideJobRunsInlineAndSubmitsNothing) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /proc/self/task";
+  }
+  ThreadCountGuard guard;
+  JobSystem::Options options;
+  options.workers = 2;
+  JobSystem jobs(options);
+  SetParallelThreadCount(4);
+  const std::size_t threads_before = ProcessThreadCount();
+
+  struct Probe {
+    std::thread::id job_thread;
+    std::vector<std::thread::id> ran_on = std::vector<std::thread::id>(64);
+  } probe;
+  jobs.Wait(jobs.Submit(
+      [](void* ctx) {
+        Probe& p = *static_cast<Probe*>(ctx);
+        p.job_thread = std::this_thread::get_id();
+        ParallelFor(0, p.ran_on.size(), 1,
+                    [&](std::size_t i0, std::size_t i1) {
+                      for (std::size_t i = i0; i < i1; ++i) {
+                        p.ran_on[i] = std::this_thread::get_id();
+                      }
+                    });
+      },
+      &probe));
+  for (const std::thread::id& id : probe.ran_on) {
+    EXPECT_EQ(id, probe.job_thread);
+  }
+  EXPECT_EQ(ProcessThreadCount(), threads_before);
 }
 
 TEST(ParallelForTest, ThreadCountClampsToOne) {

@@ -148,6 +148,10 @@ TEST(ScenarioParseTest, RejectsMalformedSpecs) {
       "rcmnist;label_noise=abc",         // not a number
       "rcmnist;label_noise=0.1x",        // trailing junk
       "rcmnist;label_delay=-1",          // negative
+      "nysf;label_delay= -1",            // blank-prefixed negative
+      "nysf;label_delay= 1",             // leading blank
+      "nysf;drift=gradual: 3",           // leading blank
+      "nysf;label_noise= 0.1",           // leading blank
       "rcmnist;imbalance=0.95",          // above 0.9
       "rcmnist;drift=abrupt;drift=gradual",  // duplicate key
       "rcmnist;order",                   // missing '='

@@ -11,10 +11,10 @@
 
 #include "gtest/gtest.h"
 
+#include "common/job_system.h"
 #include "common/rng.h"
 #include "core/streaming_faction.h"
 #include "data/dataset.h"
-#include "serve/job_system.h"
 #include "serve/serve_runtime.h"
 #include "serve/session.h"
 #include "serve/session_registry.h"

@@ -43,6 +43,12 @@ Rules (each reported as file:line: [rule] message):
                    std::chrono::*_clock) are banned outside common/timer.h
                    — timing flows through faction::Timer so determinism
                    audits have a single choke point.
+  one-scheduler    under src/, std::thread and std::condition_variable
+                   appear only in common/job_system.{h,cc}: the JobSystem
+                   is the process's one scheduler (ParallelFor forks onto
+                   it), so a second pool or parking protocol cannot creep
+                   back. std::this_thread and hardware_concurrency are
+                   fine; tests/, bench/ and examples/ are exempt.
 
 Exit status: 0 when clean, 1 when any finding is reported.
 """
@@ -70,6 +76,10 @@ CONST_CAST_ALLOWED: set[Path] = set()
 
 # Wall-clock reads live behind faction::Timer only.
 WALLCLOCK_ALLOWED = {Path("src/common/timer.h")}
+
+# The one scheduler: the only library code that owns threads or condvars.
+SCHEDULER_FILES = {Path("src/common/job_system.h"),
+                   Path("src/common/job_system.cc")}
 
 HOT_MARKER = "FACTION_HOT"
 COLD_BEGIN = "FACTION_COLD_BEGIN"
@@ -241,6 +251,9 @@ ASSERT_RE = re.compile(r"(?<![\w_])assert\s*\(")
 ASSERT_INCLUDE_RE = re.compile(r'#\s*include\s*[<"](cassert|assert\.h)[>"]')
 CONST_CAST_RE = re.compile(r"(?<![\w_])const_cast\s*<")
 ATOI_RE = re.compile(r"(?<![\w.>])ato(?:i|ll|l|f)\s*\(")
+THREAD_RE = re.compile(
+    r"std\s*::\s*(?:j?thread|condition_variable(?:_any)?)\b"
+    r"(?!\s*::\s*hardware_concurrency)")
 
 # Wall-clock reads. steady_clock is as banned as system_clock: Timer wraps
 # it, and a second timing source would fork the determinism audit.
@@ -311,6 +324,12 @@ def check_code_rules(ctx: FileContext, findings: list) -> None:
             findings.append((rel, lineno, "no-const-cast",
                              "const_cast banned in src/; add a const "
                              "overload instead"))
+        if (rel.parts[0] == "src" and rel not in SCHEDULER_FILES
+                and THREAD_RE.search(line)):
+            findings.append((rel, lineno, "one-scheduler",
+                             "threads and condition variables live only in "
+                             "common/job_system; submit jobs or use "
+                             "ParallelFor"))
         if rel.parts[0] == "src" and rel not in WALLCLOCK_ALLOWED:
             for pattern, what in WALLCLOCK_RES:
                 if pattern.search(line) and not ctx.allowed(lineno,

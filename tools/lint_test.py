@@ -128,6 +128,29 @@ class CodeRules(unittest.TestCase):
             self.assertNotIn("no-atoi", rules_of(self.run_rules(snippet)),
                              snippet)
 
+    def test_second_scheduler_flagged_in_src(self):
+        for snippet in ("std::vector<std::thread> workers_;\n",
+                        "std::condition_variable done_cv_;\n",
+                        "std::jthread t([] {});\n"):
+            self.assertIn("one-scheduler",
+                          rules_of(self.run_rules(
+                              snippet, rel="src/common/parallel.cc")),
+                          snippet)
+
+    def test_scheduler_files_and_helpers_allowed(self):
+        snippet = ("std::vector<std::thread> workers_;\n"
+                   "std::condition_variable park_cv_;\n")
+        for rel in ("src/common/job_system.h", "src/common/job_system.cc",
+                    "tests/serve_test.cc", "bench/fake_bench.cc",
+                    "examples/fake_cli.cpp"):
+            self.assertNotIn("one-scheduler",
+                             rules_of(self.run_rules(snippet, rel=rel)), rel)
+        helpers = ("std::this_thread::yield();\n"
+                   "auto n = std::thread::hardware_concurrency();\n")
+        self.assertNotIn("one-scheduler",
+                         rules_of(self.run_rules(
+                             helpers, rel="src/common/parallel.cc")))
+
 
 class HotAllocations(unittest.TestCase):
     HOT = "// FACTION_HOT: steady state\n"
