@@ -182,7 +182,9 @@ const FairDensityEstimator* FactionStrategy::EstimatorFor(
 
 Result<std::vector<std::size_t>> FactionStrategy::SelectBatch(
     const SelectionContext& context, std::size_t batch) {
-  ScopedTimer select_timer("faction.select.seconds");
+  static constinit const TelemetryHistogram kSelectSeconds(
+      "faction.select.seconds");
+  ScopedTimer select_timer(kSelectSeconds);
   const Dataset& pool = *context.labeled_pool;
   const Matrix& candidates = *context.candidate_features;
   const std::size_t n = candidates.rows();

@@ -254,7 +254,9 @@ Status StreamingFaction::ProvideLabel(const Example& example) {
 // FACTION_COLD_BEGIN: Refit amortizes over refit_interval arrivals and
 // Predict is an evaluation entry point — both off the steady state.
 Status StreamingFaction::Refit() {
-  ScopedTimer refit_timer("streaming.refit.seconds");
+  static constinit const TelemetryHistogram kRefitSeconds(
+      "streaming.refit.seconds");
+  ScopedTimer refit_timer(kRefitSeconds);
   TelemetryCount("streaming.refit");
   FACTION_RETURN_IF_ERROR(
       TrainClassifier(model_.get(), pool_, config_.train, &rng_,

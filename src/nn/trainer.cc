@@ -24,7 +24,8 @@ Result<TrainReport> TrainClassifier(FeatureClassifier* model,
     return Status::InvalidArgument("epochs and batch_size must be positive");
   }
   TelemetryCount("trainer.calls");
-  ScopedTimer train_timer("trainer.seconds");
+  static constinit const TelemetryHistogram kTrainSeconds("trainer.seconds");
+  ScopedTimer train_timer(kTrainSeconds);
 
   SgdOptimizer opt(config.learning_rate, config.momentum,
                    config.weight_decay);

@@ -14,13 +14,17 @@ namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
+constinit const TelemetryCounter kDdpUndefined("evaluator.ddp_undefined");
+constinit const TelemetryCounter kEodUndefined("evaluator.eod_undefined");
+constinit const TelemetryCounter kMiUndefined("evaluator.mi_undefined");
+
 /// Unpacks a fairness-metric Result into (value, defined), bumping the
 /// telemetry counter when the metric is undefined on this task.
 double MetricValue(const Result<double>& r, bool* defined,
-                   const char* undefined_counter) {
+                   const TelemetryCounter& undefined_counter) {
   *defined = r.ok();
   if (!r.ok()) {
-    TelemetryCount(undefined_counter);
+    undefined_counter.Add();
     return kNan;
   }
   return r.value();
@@ -34,7 +38,9 @@ Result<TaskMetrics> EvaluateOnTask(const FeatureClassifier& model,
   if (task.empty()) {
     return Status::InvalidArgument("EvaluateOnTask: empty task");
   }
-  ScopedTimer timer("evaluator.seconds");
+  static constinit const TelemetryHistogram kEvaluateSeconds(
+      "evaluator.seconds");
+  ScopedTimer timer(kEvaluateSeconds);
   TelemetryCount("evaluator.tasks");
   TaskMetrics m;
   m.environment = task.environments()[0];
@@ -53,12 +59,12 @@ Result<TaskMetrics> EvaluateOnTask(const FeatureClassifier& model,
   // zero reads as perfect fairness, silently flattering exactly the
   // quantities the paper reports (Fig. 2, Table I).
   m.ddp = MetricValue(DemographicParityDifference(yhat, task.sensitive()),
-                      &m.ddp_defined, "evaluator.ddp_undefined");
+                      &m.ddp_defined, kDdpUndefined);
   m.eod = MetricValue(
       EqualizedOddsDifference(yhat, task.labels(), task.sensitive()),
-      &m.eod_defined, "evaluator.eod_undefined");
+      &m.eod_defined, kEodUndefined);
   m.mi = MetricValue(MutualInformation(yhat, task.sensitive()),
-                     &m.mi_defined, "evaluator.mi_undefined");
+                     &m.mi_defined, kMiUndefined);
   if (m.AnyMetricUndefined()) {
     TelemetryCount("evaluator.metric_undefined_tasks");
   }

@@ -243,7 +243,9 @@ Status SetSimdLevel(SimdLevel level) {
 void PublishSimdTelemetry() {
   const SimdKernels& kernels = ActiveSimd();
   TelemetryGauge("simd.dispatch_level", static_cast<double>(kernels.level));
-  TelemetryCount((std::string("simd.dispatch.") + kernels.name).c_str());
+  if (Telemetry* t = Telemetry::Get()) {
+    t->AddCounter(std::string("simd.dispatch.") + kernels.name);
+  }
 }
 
 }  // namespace faction

@@ -20,6 +20,7 @@
 #include "gtest/gtest.h"
 
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "core/streaming_faction.h"
 #include "data/dataset.h"
 #include "serve/serve_runtime.h"
@@ -138,9 +139,11 @@ std::vector<Example> MakeStream(std::size_t n, std::size_t dim,
   return stream;
 }
 
-TEST(AllocAudit, SteadyStateArrivalsAreAllocationFree) {
-  if (!AllocAuditEnabled()) GTEST_SKIP() << "built without audit";
-  const StreamingFactionConfig config = SmallStreamingConfig();
+// Drives a StreamingFaction past warm-up and asserts that every measured
+// ShouldQuery and non-refit fold allocates nothing on the calling thread.
+// `what` prefixes the failure messages.
+void ExpectStreamingArrivalsAllocationFree(
+    const StreamingFactionConfig& config, const char* what) {
   StreamingFaction streaming(config);
   const std::vector<Example> stream =
       MakeStream(600, config.model.input_dim, 17);
@@ -170,7 +173,7 @@ TEST(AllocAudit, SteadyStateArrivalsAreAllocationFree) {
     ASSERT_TRUE(take.ok()) << take.status().ToString();
     if (measure) {
       EXPECT_EQ(before.allocs, after.allocs)
-          << "ShouldQuery allocated on arrival " << i << " ("
+          << what << " ShouldQuery allocated on arrival " << i << " ("
           << after.bytes - before.bytes << " bytes)";
       ++measured_queries;
     }
@@ -192,7 +195,7 @@ TEST(AllocAudit, SteadyStateArrivalsAreAllocationFree) {
     ++labels_since_refit;
     if (measure) {
       EXPECT_EQ(before.allocs, after.allocs)
-          << "ProvideLabel fold allocated on arrival " << i << " ("
+          << what << " fold allocated on arrival " << i << " ("
           << after.bytes - before.bytes << " bytes)";
       ++measured_folds;
     }
@@ -206,6 +209,30 @@ TEST(AllocAudit, SteadyStateArrivalsAreAllocationFree) {
   EXPECT_GT(streaming.pool_size(), config.warm_start);
 }
 
+// Turns the telemetry registry on, from a clean slate, for one scope.
+class TelemetryOn {
+ public:
+  TelemetryOn() { Telemetry::Enable()->Reset(); }
+  ~TelemetryOn() {
+    Telemetry::Enable()->Reset();
+    Telemetry::Disable();
+  }
+  TelemetryOn(const TelemetryOn&) = delete;
+  TelemetryOn& operator=(const TelemetryOn&) = delete;
+};
+
+StreamingFactionConfig WindowedStreamingConfig() {
+  StreamingFactionConfig config = SmallStreamingConfig();
+  config.density_window = 30;  // smaller than the warmed pool: evictions fire
+  config.density_decay = 0.98;
+  return config;
+}
+
+TEST(AllocAudit, SteadyStateArrivalsAreAllocationFree) {
+  if (!AllocAuditEnabled()) GTEST_SKIP() << "built without audit";
+  ExpectStreamingArrivalsAllocationFree(SmallStreamingConfig(), "grow-only");
+}
+
 // The sliding-window variant of the same gate (PR 8): with density_window
 // set, every steady-state fold past the window first evicts the oldest
 // ring entry through the rank-1 Cholesky downdate before absorbing the
@@ -215,61 +242,8 @@ TEST(AllocAudit, SteadyStateArrivalsAreAllocationFree) {
 // exactly as allocation-free as the grow-only path.
 TEST(AllocAudit, WindowedSteadyStateArrivalsAreAllocationFree) {
   if (!AllocAuditEnabled()) GTEST_SKIP() << "built without audit";
-  StreamingFactionConfig config = SmallStreamingConfig();
-  config.density_window = 30;  // smaller than the warmed pool: evictions fire
-  config.density_decay = 0.98;
-  StreamingFaction streaming(config);
-  const std::vector<Example> stream =
-      MakeStream(600, config.model.input_dim, 17);
-
-  constexpr std::size_t kWarmupArrivals = 400;
-
-  std::size_t labels_since_refit = 0;
-  bool trained_once = false;
-  std::size_t measured_queries = 0;
-  std::size_t measured_folds = 0;
-
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const Example& ex = stream[i];
-    const bool measure = i >= kWarmupArrivals;
-
-    AllocationStats before = ThreadAllocationStats();
-    const Result<bool> take = streaming.ShouldQuery(ex);
-    AllocationStats after = ThreadAllocationStats();
-    ASSERT_TRUE(take.ok()) << take.status().ToString();
-    if (measure) {
-      EXPECT_EQ(before.allocs, after.allocs)
-          << "windowed ShouldQuery allocated on arrival " << i << " ("
-          << after.bytes - before.bytes << " bytes)";
-      ++measured_queries;
-    }
-    if (!take.value()) continue;
-
-    const bool will_refit =
-        labels_since_refit + 1 >= config.refit_interval ||
-        (!trained_once && streaming.pool_size() + 1 >= config.warm_start);
-    if (will_refit) {
-      ASSERT_TRUE(streaming.ProvideLabel(ex).ok());
-      labels_since_refit = 0;
-      trained_once = true;
-      continue;
-    }
-    before = ThreadAllocationStats();
-    const Status fold = streaming.ProvideLabel(ex);
-    after = ThreadAllocationStats();
-    ASSERT_TRUE(fold.ok()) << fold.ToString();
-    ++labels_since_refit;
-    if (measure) {
-      EXPECT_EQ(before.allocs, after.allocs)
-          << "windowed evict+fold allocated on arrival " << i << " ("
-          << after.bytes - before.bytes << " bytes)";
-      ++measured_folds;
-    }
-  }
-
-  EXPECT_GE(measured_queries, 100u);
-  EXPECT_GE(measured_folds, 10u);
-  EXPECT_TRUE(streaming.has_estimator());
+  ExpectStreamingArrivalsAllocationFree(WindowedStreamingConfig(),
+                                        "windowed");
 }
 
 // The same gate through the serve layer: with the job system in
@@ -279,8 +253,7 @@ TEST(AllocAudit, WindowedSteadyStateArrivalsAreAllocationFree) {
 // the scheduler touches. Job nodes come from the pre-sized arena and the
 // mailbox slots are pre-sized, so a steady-state arrival must allocate
 // nothing.
-TEST(AllocAudit, ServeOfferPathIsAllocationFreeInSteadyState) {
-  if (!AllocAuditEnabled()) GTEST_SKIP() << "built without audit";
+void ExpectServeOffersAllocationFree() {
   const StreamingFactionConfig config = SmallStreamingConfig();
 
   ServeRuntimeOptions runtime_options;
@@ -343,6 +316,37 @@ TEST(AllocAudit, ServeOfferPathIsAllocationFreeInSteadyState) {
   EXPECT_TRUE(session->faction().has_estimator());
   EXPECT_EQ(stream.size(), session->steps());
   EXPECT_EQ(stream.size(), session->decisions().size());
+}
+
+TEST(AllocAudit, ServeOfferPathIsAllocationFreeInSteadyState) {
+  if (!AllocAuditEnabled()) GTEST_SKIP() << "built without audit";
+  ExpectServeOffersAllocationFree();
+}
+
+// The same three gates with the telemetry registry on: once every site's
+// handle has resolved and the thread holds its shard (both during warm-up),
+// an enabled counter or histogram write must not allocate either.
+TEST(AllocAudit, SteadyStateArrivalsAreAllocationFreeWithTelemetry) {
+  if (!AllocAuditEnabled()) GTEST_SKIP() << "built without audit";
+  TelemetryOn telemetry;
+  ExpectStreamingArrivalsAllocationFree(SmallStreamingConfig(),
+                                        "telemetry-on grow-only");
+  EXPECT_GT(TelemetryCounterValue("streaming.arrivals"), 0u);
+}
+
+TEST(AllocAudit, WindowedSteadyStateArrivalsAreAllocationFreeWithTelemetry) {
+  if (!AllocAuditEnabled()) GTEST_SKIP() << "built without audit";
+  TelemetryOn telemetry;
+  ExpectStreamingArrivalsAllocationFree(WindowedStreamingConfig(),
+                                        "telemetry-on windowed");
+  EXPECT_GT(TelemetryCounterValue("streaming.window_evictions"), 0u);
+}
+
+TEST(AllocAudit, ServeOfferPathIsAllocationFreeWithTelemetry) {
+  if (!AllocAuditEnabled()) GTEST_SKIP() << "built without audit";
+  TelemetryOn telemetry;
+  ExpectServeOffersAllocationFree();
+  EXPECT_GT(TelemetryCounterValue("serve.arrivals.offered"), 0u);
 }
 
 // Checkpoint capture (serve/state_codec.h) runs on the hot drain path:

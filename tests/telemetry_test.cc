@@ -1,11 +1,16 @@
 // Telemetry registry + JSONL trace: counter/gauge/histogram semantics,
-// the trace schema golden, and the two determinism contracts — disabling
+// bucket layout, per-thread shard merging under concurrent writers, the
+// trace schema golden, and the two determinism contracts — disabling
 // telemetry leaves results bitwise unchanged, and counter values do not
 // depend on the worker-thread count.
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <latch>
 #include <limits>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/alloc_audit.h"
 #include "common/parallel.h"
@@ -117,6 +122,45 @@ TEST_F(TelemetryTest, BucketIndexLayout) {
   }
 }
 
+// The loop BucketIndex used before it became a binary search over a table
+// of bounds, kept here as the reference the table must reproduce.
+int ReferenceBucketIndex(double value) {
+  if (!(value >= Telemetry::kFirstBound)) return 0;
+  double bound = Telemetry::kFirstBound;
+  for (int i = 0; i < Telemetry::kNumBuckets; ++i) {
+    bound *= 2.0;
+    if (value < bound) return i + 1;
+  }
+  return Telemetry::kNumBuckets + 1;
+}
+
+TEST_F(TelemetryTest, BucketIndexMatchesDoublingLoop) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  std::vector<double> probes = {
+      0.0, -0.0, -1.0, -kMax, kMax, kInf, -kInf,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 2,  // denormal
+      std::numeric_limits<double>::min(),
+      1e300, 1.0, 1e-6, 0.5};
+  // Every bound (the first bound, then each doubling) and both of its
+  // nextafter neighbours.
+  double bound = Telemetry::kFirstBound;
+  for (int i = 0; i <= Telemetry::kNumBuckets; ++i) {
+    probes.push_back(bound);
+    probes.push_back(std::nextafter(bound, 0.0));
+    probes.push_back(std::nextafter(bound, kInf));
+    probes.push_back(-bound);
+    bound *= 2.0;
+  }
+  for (const double v : probes) {
+    EXPECT_EQ(Telemetry::BucketIndex(v), ReferenceBucketIndex(v)) << v;
+  }
+  EXPECT_EQ(Telemetry::BucketIndex(kInf), Telemetry::kNumBuckets + 1);
+  EXPECT_EQ(Telemetry::BucketIndex(kMax), Telemetry::kNumBuckets + 1);
+}
+
 TEST_F(TelemetryTest, HistogramSnapshotAccumulates) {
   TelemetryObserve("test.hist", 1e-6);
   TelemetryObserve("test.hist", 2e-6);
@@ -135,12 +179,13 @@ TEST_F(TelemetryTest, HistogramSnapshotAccumulates) {
 }
 
 TEST_F(TelemetryTest, ScopedTimerRecordsOnlyWhenEnabled) {
-  { ScopedTimer timer("test.scoped.seconds"); }
+  static constinit const TelemetryHistogram kScoped("test.scoped.seconds");
+  { ScopedTimer timer(kScoped); }
   EXPECT_EQ(Telemetry::Get()->HistogramFor("test.scoped.seconds").count, 1u);
   Telemetry* registry = Telemetry::Get();
   Telemetry::Disable();
   {
-    ScopedTimer timer("test.scoped.seconds");
+    ScopedTimer timer(kScoped);
     EXPECT_EQ(timer.ElapsedSeconds(), 0.0);
   }
   Telemetry::Enable();
@@ -158,6 +203,96 @@ TEST_F(TelemetryTest, MarkdownRendersSections) {
   EXPECT_NE(out.find("test.counter"), std::string::npos);
   EXPECT_NE(out.find("test.gauge"), std::string::npos);
   EXPECT_NE(out.find("test.hist"), std::string::npos);
+}
+
+// Concurrent writers land in per-thread shards; reads merge them. Totals,
+// bucket counts, and extremes must be exact, values must survive their
+// writer threads' exit, and exited threads' shards must be reused.
+TEST_F(TelemetryTest, ConcurrentWritersMergeExactly) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  Telemetry* registry = Telemetry::Get();
+  const std::size_t shards_before = registry->ShardCount();
+  const auto write = [](int t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      TelemetryCount("test.mt.count");
+      TelemetryCount("test.mt.weighted", static_cast<std::uint64_t>(t + 1));
+      // Values 1..kThreads*kPerThread, each observed exactly once.
+      TelemetryObserve("test.mt.hist",
+                       static_cast<double>(t * kPerThread + i + 1));
+    }
+  };
+  // Every thread of a wave stays alive until all have written, so a wave
+  // peaks at kThreads live writers whatever the scheduling.
+  const auto run_wave = [&] {
+    std::latch all_wrote(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        write(t);
+        all_wrote.arrive_and_wait();
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  };
+
+  run_wave();
+  constexpr std::uint64_t kTotal = kThreads * kPerThread;
+  EXPECT_EQ(TelemetryCounterValue("test.mt.count"), kTotal);
+  // Sum over t of (t + 1) * kPerThread.
+  constexpr std::uint64_t kWeighted =
+      kPerThread * kThreads * (kThreads + 1) / 2;
+  EXPECT_EQ(TelemetryCounterValue("test.mt.weighted"), kWeighted);
+  Telemetry::HistogramSnapshot snap = registry->HistogramFor("test.mt.hist");
+  EXPECT_EQ(snap.count, kTotal);
+  EXPECT_EQ(snap.min, 1.0);
+  EXPECT_EQ(snap.max, static_cast<double>(kTotal));
+  // Integer-valued doubles below 2^53 sum exactly in any order.
+  EXPECT_EQ(snap.sum, static_cast<double>(kTotal * (kTotal + 1) / 2));
+  std::vector<std::uint64_t> expected(snap.buckets.size(), 0);
+  for (std::uint64_t v = 1; v <= kTotal; ++v) {
+    ++expected[static_cast<std::size_t>(
+        Telemetry::BucketIndex(static_cast<double>(v)))];
+  }
+  EXPECT_EQ(snap.buckets, expected);
+  const std::size_t shards_after_first = registry->ShardCount();
+  EXPECT_LE(shards_after_first - shards_before,
+            static_cast<std::size_t>(kThreads));
+
+  // A fresh wave after the first one exited: earlier values survive, and
+  // the new threads reuse the parked shards instead of growing the set.
+  run_wave();
+  EXPECT_EQ(TelemetryCounterValue("test.mt.count"), 2 * kTotal);
+  EXPECT_EQ(TelemetryCounterValue("test.mt.weighted"), 2 * kWeighted);
+  snap = registry->HistogramFor("test.mt.hist");
+  EXPECT_EQ(snap.count, 2 * kTotal);
+  for (std::uint64_t& e : expected) e *= 2;
+  EXPECT_EQ(snap.buckets, expected);
+  EXPECT_EQ(registry->ShardCount(), shards_after_first);
+
+  // Counters touched only by the exited threads are still listed.
+  const auto counters = registry->Counters();
+  const auto listed = [&](const std::string& name) {
+    return std::any_of(counters.begin(), counters.end(),
+                       [&](const auto& kv) { return kv.first == name; });
+  };
+  EXPECT_TRUE(listed("test.mt.count"));
+  EXPECT_TRUE(listed("test.mt.weighted"));
+}
+
+// After Reset, registered names are not listed until touched again; a
+// counter added with delta 0 is listed, as the map-backed registry did.
+TEST_F(TelemetryTest, ResetForgetsValuesButKeepsHandles) {
+  TelemetryCount("test.reset.counter", 3);
+  TelemetryObserve("test.reset.hist", 1.0);
+  Telemetry::Get()->Reset();
+  EXPECT_TRUE(Telemetry::Get()->Counters().empty());
+  EXPECT_TRUE(Telemetry::Get()->HistogramNames().empty());
+  TelemetryCount("test.reset.zero", 0);
+  const auto counters = Telemetry::Get()->Counters();
+  ASSERT_EQ(counters.size(), 1u);
+  EXPECT_EQ(counters[0].first, "test.reset.zero");
+  EXPECT_EQ(counters[0].second, 0u);
 }
 
 // ------------------------------------------------------------ TraceWriter
@@ -329,9 +464,8 @@ TEST_F(TelemetryTest, TracingLeavesResultsBitwiseUnchanged) {
             Bits(traced.value().cumulative_violation));
 }
 
-// Determinism contract #2: counters are bumped only from serial
-// orchestration code, so their values are identical for any worker-thread
-// count.
+// Determinism contract #2: counter values are identical for any
+// worker-thread count; sums commute, whichever thread's shard holds them.
 TEST_F(TelemetryTest, CountersIndependentOfThreadCount) {
   ThreadCountGuard guard;
   const std::vector<Dataset> tasks = TinyStream();

@@ -49,6 +49,15 @@ Rules (each reported as file:line: [rule] message):
                    it), so a second pool or parking protocol cannot creep
                    back. std::this_thread and hardware_concurrency are
                    fine; tests/, bench/ and examples/ are exempt.
+  telemetry-literal
+                   under src/, the name argument of TelemetryCount /
+                   TelemetryObserve / TelemetryGauge and of a
+                   TelemetryCounter / TelemetryHistogram handle (which a
+                   ScopedTimer takes) must be a string literal: each site's
+                   handle keeps the name pointer and resolves it once, so a
+                   run-time name would outlive its buffer or latch the
+                   first value. Names built at run time go through the cold
+                   by-string Telemetry::AddCounter instead.
 
 Exit status: 0 when clean, 1 when any finding is reported.
 """
@@ -80,6 +89,9 @@ WALLCLOCK_ALLOWED = {Path("src/common/timer.h")}
 # The one scheduler: the only library code that owns threads or condvars.
 SCHEDULER_FILES = {Path("src/common/job_system.h"),
                    Path("src/common/job_system.cc")}
+
+# Where the telemetry helper macros and handle classes are defined.
+TELEMETRY_DEFINITION = Path("src/common/telemetry.h")
 
 HOT_MARKER = "FACTION_HOT"
 COLD_BEGIN = "FACTION_COLD_BEGIN"
@@ -339,6 +351,30 @@ def check_code_rules(ctx: FileContext, findings: list) -> None:
                                      " use faction::Timer"))
 
 
+# A telemetry name argument: the helpers' first argument, or a handle
+# declaration's constructor argument.
+TELEMETRY_NAME_RE = re.compile(
+    r"(?<![\w])(?:(?:TelemetryCount|TelemetryObserve|TelemetryGauge)\s*\(|"
+    r"(?:TelemetryCounter|TelemetryHistogram)\s+\w+\s*[({])")
+
+
+def check_telemetry_literal(ctx: FileContext, findings: list) -> None:
+    """Telemetry names under src/ must be string literals."""
+    if ctx.rel.parts[0] != "src" or ctx.rel == TELEMETRY_DEFINITION:
+        return
+    for m in TELEMETRY_NAME_RE.finditer(ctx.code):
+        # `code` blanks literals in place, so the raw text at the same
+        # offset shows whether the argument opens with a quote.
+        if ctx.text[m.end():].lstrip().startswith('"'):
+            continue
+        lineno = ctx.code.count("\n", 0, m.start()) + 1
+        findings.append(
+            (ctx.rel, lineno, "telemetry-literal",
+             "telemetry names must be string literals (the site's handle "
+             "keeps the pointer); add to a run-time counter name through "
+             "Telemetry::AddCounter on a cold path"))
+
+
 def check_serve_hot(ctx: FileContext, findings: list) -> None:
     """src/serve TUs must opt into the hot-allocation gate explicitly."""
     rel = ctx.rel
@@ -484,6 +520,7 @@ def run_lint(contexts: list) -> list:
             check_include_guard(ctx, findings)
         check_code_rules(ctx, findings)
         check_serve_hot(ctx, findings)
+        check_telemetry_literal(ctx, findings)
         check_hot_allocations(ctx, findings)
     check_ffp_contract(contexts, findings)
     return findings

@@ -152,6 +152,40 @@ class CodeRules(unittest.TestCase):
                              helpers, rel="src/common/parallel.cc")))
 
 
+class TelemetryLiteral(unittest.TestCase):
+    def run_rule(self, text: str, rel: str = "src/core/fake.cc") -> list:
+        findings = []
+        lint.check_telemetry_literal(ctx(text, rel), findings)
+        return findings
+
+    def test_run_time_names_flagged(self):
+        for snippet in ("TelemetryCount(name);\n",
+                        "TelemetryCount((prefix + kind).c_str(), 2);\n",
+                        "TelemetryObserve(\n    histogram_name, 1.0);\n",
+                        "TelemetryGauge(gauge, 0.5);\n",
+                        "constinit const TelemetryCounter kC(name);\n",
+                        "static const TelemetryHistogram kH{names[i]};\n"):
+            self.assertEqual({"telemetry-literal"},
+                             rules_of(self.run_rule(snippet)), snippet)
+
+    def test_literals_handles_and_other_dirs_not_flagged(self):
+        clean = ('TelemetryCount("a.b");\n'
+                 'TelemetryCount(\n    "a.b", n);\n'
+                 'TelemetryObserve("a.seconds", dt);\n'
+                 'static constinit const TelemetryHistogram kH(\n'
+                 '    "a.seconds");\n'
+                 "ScopedTimer timer(kH);\n"
+                 "double Value(const TelemetryCounter& undefined);\n"
+                 "auto v = TelemetryCounterValue(name);\n"
+                 "// TelemetryCount(name) in a comment\n")
+        self.assertEqual([], self.run_rule(clean))
+        self.assertEqual([], self.run_rule("TelemetryCount(name);\n",
+                                           rel="tests/fake_test.cc"))
+        self.assertEqual([], self.run_rule(
+            "#define TelemetryCount(name, ...) site_(name)\n",
+            rel="src/common/telemetry.h"))
+
+
 class HotAllocations(unittest.TestCase):
     HOT = "// FACTION_HOT: steady state\n"
 
