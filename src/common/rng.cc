@@ -1,6 +1,9 @@
 #include "common/rng.h"
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 
 namespace faction {
 
@@ -18,6 +21,10 @@ inline std::uint64_t SplitMix64(std::uint64_t* x) {
   return z ^ (z >> 31);
 }
 
+constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+constexpr int kWordRotation = 29;
+
 }  // namespace
 
 std::uint64_t SubSeed(std::uint64_t world_seed, std::string_view tag) {
@@ -25,11 +32,30 @@ std::uint64_t SubSeed(std::uint64_t world_seed, std::string_view tag) {
   // offset basis (the FactionGenerator::sub_seed construction). The result
   // is passed through Rng's splitmix64 expansion on use, so consecutive
   // tags need no extra avalanche here.
-  constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
-  constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
   std::uint64_t h = kFnvOffsetBasis ^ world_seed;
   for (const char c : tag) {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+std::uint64_t Fnv1a64Words(std::string_view bytes) {
+  static_assert(std::endian::native == std::endian::little,
+                "words are read in the checkpoint's little-endian order");
+  std::uint64_t h = kFnvOffsetBasis;
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, bytes.data() + i, sizeof(word));
+    // The multiply only carries a difference toward the high bits; the
+    // rotation brings it back down. Without it a difference confined to
+    // the top bits never reaches the low ones, so flipping bit 63 of any
+    // two words leaves the hash unchanged.
+    h = Rotl((h ^ word) * kFnvPrime, kWordRotation);
+  }
+  for (; i < bytes.size(); ++i) {
+    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]));
     h *= kFnvPrime;
   }
   return h;

@@ -16,6 +16,15 @@ namespace faction {
 /// (seed, tag) pairs always map to the same sub-seed.
 std::uint64_t SubSeed(std::uint64_t world_seed, std::string_view tag);
 
+/// FNV-1a over `bytes` taken as 8-byte little-endian words, each step
+/// followed by a fixed rotation (the last 0-7 bytes plain FNV-1a, one at
+/// a time): a checksum at word rather than byte cost. Each step is a
+/// bijection of the running hash, so a change confined to one word always
+/// changes the result, and the rotation lets a difference in a word's top
+/// bits reach every bit, where plain word-wise FNV-1a lets two such
+/// differences in different words cancel.
+std::uint64_t Fnv1a64Words(std::string_view bytes);
+
 /// Deterministic pseudo-random number generator (xoshiro256**).
 ///
 /// Every stochastic component in the library draws from an explicitly seeded

@@ -94,6 +94,7 @@ void Linear::BackwardInto(const Matrix& dy, Matrix* dx) {
   AddScaled(&gw_, dw_scratch_, scale_);
   ColSumsInto(dy, &db_scratch_);
   for (std::size_t j = 0; j < b_.cols(); ++j) gb_(0, j) += db_scratch_[j];
+  if (dx == nullptr) return;
   // dx = dy * W_eff = scale * dy * W.
   MatMulInto(dy, w_, dx);
   if (scale_ != 1.0) {

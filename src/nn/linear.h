@@ -60,7 +60,9 @@ class Linear {
   Matrix Backward(const Matrix& dy);
 
   /// Allocation-free variant of Backward: writes dL/dx into *dx (must not
-  /// alias dy). Gradient temporaries live in persistent member scratch.
+  /// alias dy), or skips that product when dx is null (the first layer's
+  /// input gradient has no reader). Gradient temporaries live in
+  /// persistent member scratch.
   void BackwardInto(const Matrix& dy, Matrix* dx);
 
   /// Clears accumulated gradients.

@@ -105,11 +105,13 @@ void MlpClassifier::ExtractFeaturesInto(const Matrix& x, Workspace* ws,
 }
 
 void MlpClassifier::Backward(const Matrix& dlogits) {
-  head_->BackwardInto(dlogits, &dbuf_);
+  // Nothing reads the gradient with respect to the model input, so the
+  // first Linear (the head of a linear model) skips that product.
+  head_->BackwardInto(dlogits, hidden_.empty() ? nullptr : &dbuf_);
   for (std::size_t ii = hidden_.size(); ii > 0; --ii) {
     const std::size_t i = ii - 1;
     relus_[i].BackwardInPlace(&dbuf_);
-    hidden_[i]->BackwardInto(dbuf_, &dbuf_swap_);
+    hidden_[i]->BackwardInto(dbuf_, i == 0 ? nullptr : &dbuf_swap_);
     std::swap(dbuf_, dbuf_swap_);
   }
 }

@@ -119,11 +119,12 @@ void CheckpointManager::Serialize(CheckpointBuffer* buffer) {
   const std::string tmp_path = final_path + ".tmp";
   Status status = [&]() -> Status {
     {
-      std::ofstream os(tmp_path, std::ios::trunc);
+      std::ofstream os(tmp_path, std::ios::trunc | std::ios::binary);
       if (!os.is_open()) {
         return Status::Internal("checkpoint: cannot open " + tmp_path);
       }
-      os << buffer->encoded;
+      os.write(buffer->encoded.data(),
+               static_cast<std::streamsize>(buffer->encoded.size()));
       os.flush();
       if (!os.good()) {
         return Status::Internal("checkpoint: write failed for " + tmp_path);

@@ -18,7 +18,7 @@
 // flips a pre-sized double-buffered SessionState between drains (hot,
 // allocation-free once warm, never blocks on I/O); a low-priority job on
 // the serve runtime's work-stealing JobSystem serializes the flipped
-// buffer to the hexfloat session format and tmp+rename-rotates it into a
+// buffer to the binary session format and tmp+rename-rotates it into a
 // per-session checkpoint file under a generation-counting manifest. When
 // both buffers of a session are still in the hands of serializer jobs the
 // snapshot is skipped (telemetry-counted) — checkpointing must never stall
@@ -158,7 +158,14 @@ struct WarmStartOptions {
 };
 
 struct WarmStartReport {
+  /// Sessions restored from their checkpoints.
   std::size_t sessions = 0;
+  /// Sessions WarmStart could not restore: a checkpoint that fails to
+  /// open or decode is skipped (no session), and a decoded state that
+  /// RestoreSessionState rejects is served cold from its decoded config.
+  /// Each is logged with its path and the error (decode errors carry the
+  /// byte offset).
+  std::size_t quarantined = 0;
   std::uint64_t max_generation = 0;
   /// Sum of the restored sessions' checkpointed step counts — the arrivals
   /// a replay-based recovery would have had to re-process.

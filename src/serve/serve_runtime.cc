@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/logging.h"
 #include "common/telemetry.h"
 
 namespace faction {
@@ -55,14 +56,33 @@ Result<WarmStartReport> ServeRuntime::WarmStart(
       slash == std::string::npos ? std::string(".")
                                  : manifest_path.substr(0, slash);
   WarmStartReport report;
+  // One unreadable or unrestorable session degrades that session, not
+  // the fleet.
+  const auto quarantine = [&report](const std::string& path,
+                                    const Status& why) {
+    ++report.quarantined;
+    FACTION_LOG(kWarning) << "WarmStart: quarantined " << path << ": "
+                          << why.ToString();
+  };
   SessionState state;
   for (const CheckpointManifestEntry& entry : entries) {
-    FACTION_RETURN_IF_ERROR(
-        DecodeSessionStateFromFile(dir + "/" + entry.filename, &state));
-    if (state.stream_id != entry.stream_id) {
-      return Status::InvalidArgument(
-          "WarmStart: checkpoint " + entry.filename +
-          " does not belong to the manifest's stream id");
+    const std::string path = dir + "/" + entry.filename;
+    Status decoded = DecodeSessionStateFromFile(path, &state);
+    if (decoded.ok() && state.stream_id != entry.stream_id) {
+      decoded = Status::InvalidArgument(
+          "checkpoint does not belong to the manifest's stream id " +
+          std::to_string(entry.stream_id));
+    }
+    if (decoded.ok() && registry_.Find(state.stream_id) != nullptr) {
+      decoded = Status::InvalidArgument("stream id already restored");
+    }
+    if (!decoded.ok()) {
+      quarantine(path, decoded);
+      continue;
+    }
+    if (registry_.size() >= options_.max_sessions) {
+      return Status::ResourceExhausted(
+          "WarmStart: the manifest holds more sessions than max_sessions");
     }
     ServeSessionOptions session_options;
     session_options.stream_id = state.stream_id;
@@ -70,18 +90,24 @@ Result<WarmStartReport> ServeRuntime::WarmStart(
     session_options.mailbox_capacity = options.mailbox_capacity;
     session_options.decision_log_capacity = options.decision_log_capacity;
     ServeSession* session = CreateSession(session_options);
-    FACTION_RETURN_IF_ERROR(
-        RestoreSessionState(state, session->mutable_faction()));
-    session->set_restored_steps(state.steps);
+    // Restore validates the whole state before it touches the learner, so
+    // a rejected state leaves the session cold, as constructed.
+    const Status restored =
+        RestoreSessionState(state, session->mutable_faction());
+    if (restored.ok()) {
+      session->set_restored_steps(state.steps);
+      ++report.sessions;
+      report.total_steps += state.steps;
+    } else {
+      quarantine(path, restored);
+    }
     if (CheckpointSlot* slot = session->checkpoint_slot()) {
       // Resume the generation sequence where the checkpointed session
       // left off, so rotation and the manifest stay monotone.
       slot->next_generation = state.generation + 1;
-      slot->last_snapshot_steps = state.steps;
+      if (restored.ok()) slot->last_snapshot_steps = state.steps;
     }
-    ++report.sessions;
     report.max_generation = std::max(report.max_generation, state.generation);
-    report.total_steps += state.steps;
   }
   return report;
 }

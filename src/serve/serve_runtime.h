@@ -80,8 +80,12 @@ class ServeRuntime {
   /// per manifest entry, constructed from its checkpointed config and
   /// restored to bitwise parity with the captured learner (no replay).
   /// When checkpointing is enabled, restored sessions resume their
-  /// generation sequence. Call on a freshly constructed runtime before any
-  /// Offer.
+  /// generation sequence. A checkpoint that fails to decode is skipped and
+  /// a state that fails restore is served cold; both are counted in
+  /// WarmStartReport::quarantined and logged, and the rest of the fleet
+  /// restores. Fails only when the manifest is unreadable or holds more
+  /// sessions than max_sessions. Call on a freshly constructed runtime
+  /// before any Offer.
   Result<WarmStartReport> WarmStart(const std::string& manifest_path,
                                     const WarmStartOptions& options = {});
 

@@ -6,6 +6,7 @@
 #include "serve/state_codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <concepts>
@@ -13,9 +14,12 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <sstream>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
+#include "common/rng.h"
 #include "common/token_reader.h"
 #include "data/dataset.h"
 #include "nn/linear.h"
@@ -428,15 +432,22 @@ constexpr std::size_t kMaxHiddenLayers = 1024;
 // A field list calls, in format order:
 //   Section(tag)        a tag that starts a line; later failures name it;
 //   Tag(word)           a literal word on the current line;
-//   Line()              a line break (layout only; the decoder ignores it);
-//   Fields(x...)        scalars: bools as 0/1, integers, hexfloat doubles;
+//   Line()              a line break (text layout only; decoders ignore it);
+//   Fields(x...)        scalars: bools, integers, doubles;
 //   Enum(e, last)       an enum as its integer, decoded only in [0, last];
 //   Count(v, max)       a container's size; the decoder caps and resizes;
 //   Column(v, n)        the n values of v, sized by a count read earlier;
 //   Rows(m, r, c)       the first r*c values of matrix m, no header;
 //   Check(ok, problem)  decoder only: a cross-field check.
-// The writer prints exactly what the decoder reads, so one list per type
-// is the whole format.
+// Each writer emits exactly what its decoder reads, so one list per type
+// is the whole format, in both policies:
+//   text    tokens: bools as 0/1, decimal integers, hexfloat doubles; the
+//           debug format, and the one tests/data/session_windowed.ckpt pins;
+//   binary  a header (magic, version, payload length), the payload, and an
+//           FNV-1a trailer over header and payload. Tags are their bytes,
+//           scalars fixed-width little-endian (bool 1 byte, integers as
+//           int64/uint64, doubles 8 bytes), and a Column or Rows one bulk
+//           copy of its elements at their native width.
 
 /// Prints into the reused output string. Doubles use %a, which
 /// round-trips every finite double bit-for-bit; the infinities print as
@@ -476,6 +487,7 @@ class TextWriter {
     for (std::size_t i = 0; i < rows * cols; ++i) Field(m.data()[i]);
   }
   void Check(bool, const char*) {}
+  void Finish() { out_.push_back('\n'); }
 
  private:
   template <class T>
@@ -573,6 +585,229 @@ class TextReader {
   const char* section_ = "header";
 };
 
+static_assert(std::endian::native == std::endian::little,
+              "the binary policy copies scalars and columns in host order");
+static_assert(sizeof(double) == 8 && sizeof(int) == 4,
+              "column element widths are part of the binary format");
+
+// "\x89" keeps the magic out of any text file, and "\r\n\x1a\n" (after
+// PNG) exposes a transfer that rewrote line endings.
+constexpr char kBinaryMagic[8] = {'\x89', 'F', 'S', 'S', '\r', '\n', '\x1a',
+                                  '\n'};
+constexpr std::uint64_t kBinaryVersion = 1;
+constexpr std::size_t kVersionAt = sizeof(kBinaryMagic);
+constexpr std::size_t kPayloadLengthAt = kVersionAt + 8;
+constexpr std::size_t kHeaderBytes = kPayloadLengthAt + 8;
+constexpr std::size_t kTrailerBytes = 8;
+
+/// The fixed-width type a scalar field travels as.
+template <class T>
+using Wire = std::conditional_t<
+    std::is_same_v<T, bool>, std::uint8_t,
+    std::conditional_t<std::is_floating_point_v<T>, double,
+                       std::conditional_t<std::is_signed_v<T>, std::int64_t,
+                                          std::uint64_t>>>;
+
+/// Bytes the smallest encoding of one element of C takes (1 for
+/// structured elements), so a count can be checked against the bytes left.
+template <class C>
+constexpr std::size_t kMinElementBytes =
+    std::is_arithmetic_v<typename C::value_type>
+        ? sizeof(Wire<typename C::value_type>)
+        : 1;
+
+Status DecodeError(const std::string& source, std::size_t at,
+                   const std::string& what) {
+  return Status::InvalidArgument("DecodeSessionState: " + what + " in " +
+                                 source + " @byte " + std::to_string(at));
+}
+
+bool AnyNan(const double* p, std::size_t n) {
+  bool nan = false;
+  for (std::size_t i = 0; i < n; ++i) nan |= p[i] != p[i];
+  return nan;
+}
+
+/// Appends the binary encoding to the reused output string: header first
+/// (the payload length is patched in by Finish), then the payload, then
+/// the checksum trailer.
+class BinaryWriter {
+ public:
+  explicit BinaryWriter(std::string* out) : out_(*out) {
+    out_.assign(kBinaryMagic, sizeof(kBinaryMagic));
+    Put(kBinaryVersion);
+    Put(std::uint64_t{0});
+  }
+
+  void Section(const char* tag) { Tag(tag); }
+  void Tag(const char* word) { out_.append(word, std::strlen(word)); }
+  void Line() {}
+  template <class... T>
+  void Fields(const T&... v) {
+    (Put(static_cast<Wire<T>>(v)), ...);
+  }
+  template <class E>
+  void Enum(const E& e, E /*last*/) {
+    Put(static_cast<std::int64_t>(e));
+  }
+  template <class C>
+  void Count(const C& c, std::size_t /*max*/) {
+    Put(std::uint64_t{c.size()});
+  }
+  template <class C>
+  void Column(const C& c, std::size_t n) {
+    Bytes(c.data(), n * sizeof(typename C::value_type));
+  }
+  void Rows(const Matrix& m, std::size_t rows, std::size_t cols) {
+    Bytes(m.data(), rows * cols * sizeof(double));
+  }
+  void Check(bool, const char*) {}
+  void Finish() {
+    const std::uint64_t payload = out_.size() - kHeaderBytes;
+    std::memcpy(out_.data() + kPayloadLengthAt, &payload, sizeof(payload));
+    Put(Fnv1a64Words(out_));
+  }
+
+ private:
+  template <class W>
+  void Put(W w) {
+    Bytes(&w, sizeof(w));
+  }
+  void Bytes(const void* p, std::size_t n) {
+    out_.append(static_cast<const char*>(p), n);
+  }
+
+  std::string& out_;
+};
+
+/// Decodes a binary payload whose header and checksum DecodeBinary has
+/// already verified. The reader keeps every guard the text reader has
+/// (field-list checks, count caps, counts that fit the bytes left, 0/1
+/// bools, integers in range, no NaN) and names the section and byte
+/// offset of a failure; the first one sticks, as in TextReader.
+class BinaryReader {
+ public:
+  BinaryReader(std::string_view bytes, std::size_t end,
+               const std::string& source)
+      : bytes_(bytes), end_(end), source_(source) {}
+
+  const Status& status() const { return status_; }
+
+  void Section(const char* tag) {
+    section_ = tag;
+    Tag(tag);
+  }
+  void Tag(const char* word) {
+    const std::size_t n = std::strlen(word);
+    const char* p = Take(n);
+    if (p != nullptr && std::memcmp(p, word, n) != 0) {
+      Fail(std::string("expected '") + word + "'");
+    }
+  }
+  void Line() {}
+  template <class... T>
+  void Fields(T&... v) {
+    (Field(v), ...);
+  }
+  template <class E>
+  void Enum(E& e, E last) {
+    int raw = 0;
+    Field(raw);
+    Check(raw >= 0 && raw <= static_cast<int>(last), "has an unknown enum");
+    if (status_.ok()) e = static_cast<E>(raw);
+  }
+  template <class C>
+  void Count(C& c, std::size_t max) {
+    std::size_t n = 0;
+    Field(n);
+    Check(n <= max, "count is oversized");
+    Resize(c, n, kMinElementBytes<C>);
+  }
+  template <class C>
+  void Column(C& c, std::size_t n) {
+    Resize(c, n, sizeof(typename C::value_type));
+    CopyOut(c.data(), n);
+  }
+  void Rows(Matrix& m, std::size_t rows, std::size_t cols) {
+    Check(cols == 0 || rows <= std::numeric_limits<std::size_t>::max() / cols,
+          "matrix is oversized");
+    Room(rows * cols, sizeof(double));
+    if (!status_.ok()) return;
+    m.ResizeForOverwrite(rows, cols);
+    CopyOut(m.data(), rows * cols);
+  }
+  void Check(bool ok, const char* problem) {
+    if (!ok) Fail(std::string(section_) + " " + problem);
+  }
+  void Finish() {
+    if (status_.ok() && pos_ != end_) Fail("trailing bytes after 'end'");
+  }
+
+ private:
+  template <class T>
+  void Field(T& v) {
+    Wire<T> w;
+    const char* p = Take(sizeof(w));
+    if (p == nullptr) return;
+    std::memcpy(&w, p, sizeof(w));
+    if constexpr (std::is_same_v<T, bool>) {
+      if (w > 1) return Fail(std::string("non-boolean ") + section_);
+      v = w == 1;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      if (std::isnan(w)) return Fail(std::string("non-finite ") + section_);
+      v = w;
+    } else {
+      if (!std::in_range<T>(w)) return Fail(std::string("bad ") + section_);
+      v = static_cast<T>(w);
+    }
+  }
+  template <class C>
+  void Resize(C& c, std::size_t n, std::size_t element_bytes) {
+    Room(n, element_bytes);
+    if (status_.ok()) c.resize(n);
+  }
+  /// Fails unless `n` elements of `element_bytes` fit in the bytes left,
+  /// so a corrupt count cannot size an allocation beyond its input.
+  void Room(std::size_t n, std::size_t element_bytes) {
+    if (status_.ok() && n > (end_ - pos_) / element_bytes) {
+      Fail(std::string("oversized ") + section_);
+    }
+  }
+  /// Copies the next n elements into dst in one memcpy; doubles must not
+  /// be NaN.
+  template <class T>
+  void CopyOut(T* dst, std::size_t n) {
+    const char* p = Take(n * sizeof(T));
+    if (p == nullptr || n == 0) return;
+    std::memcpy(dst, p, n * sizeof(T));
+    if constexpr (std::is_floating_point_v<T>) {
+      if (AnyNan(dst, n)) Fail(std::string("non-finite ") + section_);
+    }
+  }
+  /// The next n payload bytes, or null (after failing) when they run past
+  /// the payload.
+  const char* Take(std::size_t n) {
+    if (!status_.ok()) return nullptr;
+    if (n > end_ - pos_) {
+      Fail(std::string("truncated ") + section_);
+      return nullptr;
+    }
+    const char* p = bytes_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
+  void Fail(const std::string& what) {
+    if (status_.ok()) status_ = DecodeError(source_, pos_, what);
+  }
+
+  std::string_view bytes_;
+  std::size_t pos_ = kHeaderBytes;
+  std::size_t end_;
+  const std::string& source_;
+  Status status_;
+  const char* section_ = "header";
+};
+
 // ------------------------------------------------------------- field lists
 //
 // One Visit per snapshot type; S is the type itself (decode) or its const
@@ -584,7 +819,7 @@ concept Snapshot = std::same_as<std::remove_const_t<S>, T>;
 template <class Ar, class V>
 void VisitVector(Ar& ar, V& v) {
   ar.Count(v, kMaxVector);
-  for (auto& x : v) ar.Fields(x);
+  ar.Column(v, v.size());
 }
 
 template <class Ar, Snapshot<Matrix> M>
@@ -648,6 +883,11 @@ void Visit(Ar& ar, S& c) {
   // The StreamingFaction constructor CHECKs this range.
   ar.Check(c.density_decay > 0.0 && c.density_decay <= 1.0,
            "density_decay is outside (0, 1]");
+  // Each sizes a row buffer the learner allocates up front (the eviction
+  // ring, the pool's reserve before a refit): cap them like any matrix.
+  ar.Check(c.density_window <= kMaxMatrixDim &&
+               c.refit_interval <= kMaxMatrixDim,
+           "density_window or refit_interval is oversized");
   Visit(ar, c.covariance);
   Visit(ar, c.model);
   Visit(ar, c.train);
@@ -752,24 +992,95 @@ void Visit(Ar& ar, S& s) {
   ar.Section("end");
 }
 
-}  // namespace
-
-void EncodeSessionState(const SessionState& state, std::string* out) {
-  TextWriter writer(out);
-  Visit(writer, state);
-  out->push_back('\n');
+/// Verifies the header and checksum of a binary encoding, then runs the
+/// field list over its payload.
+Status DecodeBinary(std::string_view bytes, const std::string& source,
+                    SessionState* out) {
+  if (bytes.size() < kHeaderBytes + kTrailerBytes) {
+    return DecodeError(source, bytes.size(), "truncated header");
+  }
+  std::uint64_t version = 0, payload = 0, stored = 0;
+  std::memcpy(&version, bytes.data() + kVersionAt, sizeof(version));
+  std::memcpy(&payload, bytes.data() + kPayloadLengthAt, sizeof(payload));
+  if (version != kBinaryVersion) {
+    return DecodeError(source, kVersionAt,
+                       "unsupported binary version " + std::to_string(version));
+  }
+  const std::size_t room = bytes.size() - kHeaderBytes - kTrailerBytes;
+  if (payload > room) {
+    return DecodeError(source, bytes.size(),
+                       "truncated: the header declares " +
+                           std::to_string(payload) + " payload bytes");
+  }
+  const std::size_t end = kHeaderBytes + static_cast<std::size_t>(payload);
+  if (payload < room) {
+    return DecodeError(source, end + kTrailerBytes,
+                       "trailing bytes after the checksum");
+  }
+  std::memcpy(&stored, bytes.data() + end, sizeof(stored));
+  if (stored != Fnv1a64Words(bytes.substr(0, end))) {
+    return DecodeError(source, end, "checksum mismatch");
+  }
+  BinaryReader reader(bytes, end, source);
+  Visit(reader, *out);
+  reader.Finish();
+  return reader.status();
 }
 
-Status DecodeSessionState(std::istream& is, const std::string& source,
+/// The rest of `is`, read in one read when the stream can report its
+/// length. A short read only shortens the result, which decode reports as
+/// truncation.
+std::string ReadRest(std::istream& is) {
+  const std::streampos start = is.tellg();
+  if (start != std::streampos(-1) && is.seekg(0, std::ios::end)) {
+    const std::streamoff size = is.tellg() - start;
+    is.seekg(start);
+    std::string bytes(static_cast<std::size_t>(size), '\0');
+    is.read(bytes.data(), size);
+    bytes.resize(static_cast<std::size_t>(is.gcount()));
+    return bytes;
+  }
+  is.clear();
+  std::ostringstream rest;
+  rest << is.rdbuf();
+  return std::move(rest).str();
+}
+
+}  // namespace
+
+void EncodeSessionState(const SessionState& state, std::string* out,
+                        SessionFormat format) {
+  if (format == SessionFormat::kText) {
+    TextWriter writer(out);
+    Visit(writer, state);
+    writer.Finish();
+  } else {
+    BinaryWriter writer(out);
+    Visit(writer, state);
+    writer.Finish();
+  }
+}
+
+Status DecodeSessionState(std::string_view bytes, const std::string& source,
                           SessionState* out) {
+  if (bytes.substr(0, sizeof(kBinaryMagic)) ==
+      std::string_view(kBinaryMagic, sizeof(kBinaryMagic))) {
+    return DecodeBinary(bytes, source, out);
+  }
+  std::istringstream is{std::string(bytes)};
   TextReader reader(is, source);
   Visit(reader, *out);
   return reader.status();
 }
 
+Status DecodeSessionState(std::istream& is, const std::string& source,
+                          SessionState* out) {
+  return DecodeSessionState(ReadRest(is), source, out);
+}
+
 Status DecodeSessionStateFromFile(const std::string& path,
                                   SessionState* out) {
-  std::ifstream is(path);
+  std::ifstream is(path, std::ios::binary);
   if (!is.is_open()) {
     return Status::NotFound("DecodeSessionStateFromFile: cannot open " +
                             path);

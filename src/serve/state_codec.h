@@ -7,6 +7,7 @@
 #include <istream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,13 +22,15 @@
 // sufficient statistics, incremental normalizer, RNG position, and every
 // counter — into a plain-data SessionState, and restores it such that the
 // restored learner's future outputs are bitwise identical to the
-// uninterrupted one's. The text encoding ("faction-session v1") prints
-// every double as hexfloat, so it round-trips bit-for-bit; decode errors
-// name the source and byte offset.
+// uninterrupted one's. Two encodings round-trip it bit-for-bit: a binary
+// one (fixed-width little-endian fields behind a magic and version, with
+// an FNV-1a checksum trailer), which checkpoints use, and the text debug
+// format ("faction-session v1", every double as hexfloat). Decoding sniffs
+// the magic; errors name the source and byte offset.
 //
 // Each snapshot type has ONE field list (a Visit template in
-// state_codec.cc) that both the text writer and the decoder run, so the
-// encoder and decoder cannot drift apart.
+// state_codec.cc) that both policies' writers and readers run, so no
+// encoder and decoder can drift apart.
 //
 // Split of responsibilities:
 //   * CaptureSessionState is the hot half — called by the drain holder
@@ -146,13 +149,25 @@ void CaptureSessionState(const StreamingFaction& faction, SessionState* out);
 Status RestoreSessionState(const SessionState& state,
                            StreamingFaction* faction);
 
-/// Serializes a SessionState to the "faction-session v1" text format
-/// (hexfloat payload). Overwrites *out.
-void EncodeSessionState(const SessionState& state, std::string* out);
+/// The two encodings of a SessionState (DESIGN.md §17).
+enum class SessionFormat {
+  kBinary,  // checkpoint files: compact, checksummed, cheap to decode
+  kText,    // "faction-session v1" hexfloat tokens: the debug format
+};
 
-/// Parses a "faction-session v1" stream. `source` names the stream in
-/// error messages (path or a logical label); every failure reports the
-/// byte offset where parsing stopped.
+/// Serializes a SessionState. Overwrites *out, reusing its capacity.
+void EncodeSessionState(const SessionState& state, std::string* out,
+                        SessionFormat format = SessionFormat::kBinary);
+
+/// Parses either encoding, told apart by the binary magic. `source` names
+/// the input in error messages (path or a logical label); every failure
+/// reports the byte offset where decoding stopped. A binary input whose
+/// checksum does not match is rejected before any field is read.
+Status DecodeSessionState(std::string_view bytes, const std::string& source,
+                          SessionState* out);
+
+/// Reads the rest of the stream (one read when it is seekable) and
+/// decodes it as above.
 Status DecodeSessionState(std::istream& is, const std::string& source,
                           SessionState* out);
 

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -128,9 +129,10 @@ bool FileExists(const std::string& path) {
 
 class CheckpointCodecTest : public testing::TestWithParam<bool> {};
 
-// Capture -> encode -> decode -> encode must be byte-identical: the text
-// format loses nothing the codec captured (hexfloat doubles round-trip
-// bit-for-bit, including -inf log-weights of zero-mass cells).
+// Capture -> encode -> decode -> encode must be byte-identical in both
+// encodings: neither loses anything the codec captured (binary doubles
+// are their bits, hexfloat doubles round-trip bit-for-bit, including
+// -inf log-weights of zero-mass cells).
 TEST_P(CheckpointCodecTest, EncodeDecodeEncodeIsByteIdentical) {
   const StreamingFactionConfig config =
       GetParam() ? WindowedConfig(11) : SmallConfig(11);
@@ -145,24 +147,27 @@ TEST_P(CheckpointCodecTest, EncodeDecodeEncodeIsByteIdentical) {
   state.generation = 3;
   state.steps = 100;
 
-  std::string first;
-  EncodeSessionState(state, &first);
-  ASSERT_FALSE(first.empty());
+  for (const SessionFormat format : {SessionFormat::kBinary,
+                                     SessionFormat::kText}) {
+    std::string first;
+    EncodeSessionState(state, &first, format);
+    ASSERT_FALSE(first.empty());
 
-  std::istringstream is(first);
-  SessionState decoded;
-  const Status decode = DecodeSessionState(is, "roundtrip", &decoded);
-  ASSERT_TRUE(decode.ok()) << decode.ToString();
-  EXPECT_EQ(7u, decoded.stream_id);
-  EXPECT_EQ(3u, decoded.generation);
-  EXPECT_EQ(100u, decoded.steps);
-  EXPECT_EQ(state.pool_size, decoded.pool_size);
-  EXPECT_EQ(state.ring_size, decoded.ring_size);
-  EXPECT_EQ(state.density.has_value, decoded.density.has_value);
+    std::istringstream is(first);
+    SessionState decoded;
+    const Status decode = DecodeSessionState(is, "roundtrip", &decoded);
+    ASSERT_TRUE(decode.ok()) << decode.ToString();
+    EXPECT_EQ(7u, decoded.stream_id);
+    EXPECT_EQ(3u, decoded.generation);
+    EXPECT_EQ(100u, decoded.steps);
+    EXPECT_EQ(state.pool_size, decoded.pool_size);
+    EXPECT_EQ(state.ring_size, decoded.ring_size);
+    EXPECT_EQ(state.density.has_value, decoded.density.has_value);
 
-  std::string second;
-  EncodeSessionState(decoded, &second);
-  EXPECT_EQ(first, second);
+    std::string second;
+    EncodeSessionState(decoded, &second, format);
+    EXPECT_EQ(first, second);
+  }
 }
 
 // The core guarantee: a learner restored from a checkpoint produces
@@ -221,25 +226,51 @@ TEST(CheckpointCodec, RestoreRejectsConfigMismatch) {
   EXPECT_FALSE(RestoreSessionState(state, &wrong).ok());
 }
 
+// Every decode failure names the source and the byte offset where
+// decoding stopped, in both encodings: a truncated file, a flipped
+// payload byte (the binary checksum's case; in text, a byte no token
+// admits), and a damaged magic (the binary file then falls back to the
+// text reader, which rejects its first token).
 TEST(CheckpointCodec, DecodeErrorsNameSourceAndByteOffset) {
   StreamingFaction faction(SmallConfig(3));
   RunStream(&faction, MakeStream(30, 6, 5), 0, 30, nullptr);
   SessionState state;
   CaptureSessionState(faction, &state);
-  std::string encoded;
-  EncodeSessionState(state, &encoded);
+  const auto expect_named = [](const std::string& bytes,
+                               const std::string& source) {
+    std::istringstream is(bytes);
+    SessionState out;
+    const Status status = DecodeSessionState(is, source, &out);
+    ASSERT_FALSE(status.ok()) << source;
+    EXPECT_NE(std::string::npos, status.message().find(source))
+        << status.ToString();
+    EXPECT_NE(std::string::npos, status.message().find("@byte"))
+        << status.ToString();
+  };
+  for (const SessionFormat format : {SessionFormat::kBinary,
+                                     SessionFormat::kText}) {
+    std::string encoded;
+    EncodeSessionState(state, &encoded, format);
+    expect_named(encoded.substr(0, encoded.size() / 2), "half.ckpt");
+    std::string flipped = encoded;
+    flipped[flipped.size() / 2] =
+        format == SessionFormat::kBinary
+            ? static_cast<char>(flipped[flipped.size() / 2] ^ 0x10)
+            : '#';
+    expect_named(flipped, "flipped.ckpt");
+    if (format == SessionFormat::kBinary) {
+      SessionState out;
+      EXPECT_NE(std::string::npos,
+                DecodeSessionState(flipped, "flipped.ckpt", &out)
+                    .message()
+                    .find("checksum mismatch"));
+    }
+    std::string bad_magic = encoded;
+    bad_magic[1] = 'X';
+    expect_named(bad_magic, "magic.ckpt");
+  }
 
-  // Truncate mid-payload: the decode error must name the logical source
-  // and the byte offset where parsing stopped.
-  std::istringstream is(encoded.substr(0, encoded.size() / 2));
   SessionState out;
-  const Status status = DecodeSessionState(is, "half.ckpt", &out);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(std::string::npos, status.message().find("half.ckpt"))
-      << status.ToString();
-  EXPECT_NE(std::string::npos, status.message().find("@byte"))
-      << status.ToString();
-
   const Status missing =
       DecodeSessionStateFromFile("/tmp/no_such_faction_ckpt.ckpt", &out);
   ASSERT_FALSE(missing.ok());
@@ -353,21 +384,42 @@ void ExpectFixtureSemantics(const SessionState& s) {
   EXPECT_NEAR(1.0, weight_sum, 1e-12);
 }
 
-// Pins the "faction-session v1" format: the fixture (pool, ring and all
-// four density cells non-empty) decodes to the state it was written from,
-// restores, and re-encodes to the same token sequence.
-TEST(CheckpointCodec, PinnedFixtureRoundTripsTokenIdentical) {
-  const std::string path =
-      std::string(FACTION_TEST_DATA_DIR) + "/session_windowed.ckpt";
-  std::ifstream file(path);
-  ASSERT_TRUE(file.is_open()) << path;
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  EXPECT_TRUE(file.is_open()) << path;
   std::stringstream contents;
   contents << file.rdbuf();
-  const std::string pinned = contents.str();
+  return contents.str();
+}
 
+std::string ReadFixture(const std::string& name) {
+  return ReadFile(std::string(FACTION_TEST_DATA_DIR) + "/" + name);
+}
+
+// Restores `decoded` into a learner built from its config and captures it
+// again, stamped like the original.
+SessionState RestoreAndRecapture(const SessionState& decoded) {
+  StreamingFaction restored(decoded.config);
+  const Status restore = RestoreSessionState(decoded, &restored);
+  EXPECT_TRUE(restore.ok()) << restore.ToString();
+  SessionState recaptured;
+  CaptureSessionState(restored, &recaptured);
+  recaptured.stream_id = decoded.stream_id;
+  recaptured.generation = decoded.generation;
+  recaptured.steps = decoded.steps;
+  return recaptured;
+}
+
+// Pins the "faction-session v1" text format: the fixture (pool, ring and
+// all four density cells non-empty) decodes to the state it was written
+// from, restores, and re-encodes through the text policy to the same
+// token sequence.
+TEST(CheckpointCodec, PinnedFixtureRoundTripsTokenIdentical) {
+  const std::string pinned = ReadFixture("session_windowed.ckpt");
   std::istringstream is(pinned);
   SessionState decoded;
-  const Status decode = DecodeSessionState(is, path, &decoded);
+  const Status decode =
+      DecodeSessionState(is, "session_windowed.ckpt", &decoded);
   ASSERT_TRUE(decode.ok()) << decode.ToString();
   EXPECT_GT(decoded.pool_size, 0u);
   EXPECT_GT(decoded.ring_size, 0u);
@@ -377,17 +429,107 @@ TEST(CheckpointCodec, PinnedFixtureRoundTripsTokenIdentical) {
   }
   ExpectFixtureSemantics(decoded);
 
-  StreamingFaction restored(decoded.config);
-  const Status restore = RestoreSessionState(decoded, &restored);
-  ASSERT_TRUE(restore.ok()) << restore.ToString();
-  SessionState recaptured;
-  CaptureSessionState(restored, &recaptured);
-  recaptured.stream_id = decoded.stream_id;
-  recaptured.generation = decoded.generation;
-  recaptured.steps = decoded.steps;
   std::string reencoded;
-  EncodeSessionState(recaptured, &reencoded);
+  EncodeSessionState(RestoreAndRecapture(decoded), &reencoded,
+                     SessionFormat::kText);
   EXPECT_EQ(Tokens(pinned), Tokens(reencoded));
+}
+
+// Pins the binary format: tests/data/session_windowed.bin is the binary
+// encoding of the decoded text fixture. It decodes to the same state,
+// restores, and re-encodes byte-identical to itself.
+TEST(CheckpointCodec, PinnedBinaryFixtureRoundTripsByteIdentical) {
+  const std::string pinned = ReadFixture("session_windowed.bin");
+  SessionState decoded;
+  const Status decode =
+      DecodeSessionState(pinned, "session_windowed.bin", &decoded);
+  ASSERT_TRUE(decode.ok()) << decode.ToString();
+  ExpectFixtureSemantics(decoded);
+
+  SessionState from_text;
+  ASSERT_TRUE(DecodeSessionState(ReadFixture("session_windowed.ckpt"),
+                                 "session_windowed.ckpt", &from_text)
+                  .ok());
+  std::string text_as_binary;
+  EncodeSessionState(from_text, &text_as_binary);
+  EXPECT_EQ(pinned, text_as_binary);
+
+  std::string reencoded;
+  EncodeSessionState(RestoreAndRecapture(decoded), &reencoded);
+  EXPECT_EQ(pinned, reencoded);
+}
+
+// Plain word-wise FNV-1a multiplies differences only toward the high
+// bits, so two flips of bit 63 in different words cancel; the checksum
+// must reject every such pair.
+TEST(CheckpointCodec, ChecksumRejectsPairedTopBitFlips) {
+  const std::string pinned = ReadFixture("session_windowed.bin");
+  constexpr std::size_t kHeader = 24, kTrailer = 8;
+  const std::size_t words = (pinned.size() - kHeader - kTrailer) / 8;
+  ASSERT_GT(words, 64u);
+  for (std::size_t a = 0; a < words; a += 61) {
+    for (const std::size_t gap : {std::size_t{1}, std::size_t{7}}) {
+      if (a + gap >= words) continue;
+      std::string bytes = pinned;
+      bytes[kHeader + 8 * a + 7] ^= static_cast<char>(0x80);
+      bytes[kHeader + 8 * (a + gap) + 7] ^= static_cast<char>(0x80);
+      SessionState out;
+      const Status status = DecodeSessionState(bytes, "paired", &out);
+      EXPECT_NE(std::string::npos, status.message().find("checksum mismatch"))
+          << "words " << a << " and " << a + gap << ": "
+          << status.ToString();
+    }
+  }
+}
+
+// The binary reader keeps the text reader's guards behind a valid
+// checksum: each mutant below is re-sealed, so only the field checks can
+// reject it, and the error names the section and byte offset.
+TEST(CheckpointCodec, BinaryReaderRejectsResealedBadFields) {
+  const std::string pinned = ReadFixture("session_windowed.bin");
+  constexpr std::size_t kHeader = 24, kTrailer = 8;
+  // Overwrites the bytes right after section `tag` (plus `skip` bytes),
+  // then recomputes the trailer.
+  const auto mutant = [&](const std::string& tag, std::size_t skip,
+                          const void* value, std::size_t n) {
+    std::string bytes = pinned;
+    const std::size_t at = bytes.find(tag, kHeader);
+    EXPECT_NE(std::string::npos, at) << tag;
+    std::memcpy(bytes.data() + at + tag.size() + skip, value, n);
+    const std::size_t end = bytes.size() - kTrailer;
+    const std::uint64_t sum =
+        Fnv1a64Words(std::string_view(bytes).substr(0, end));
+    std::memcpy(bytes.data() + end, &sum, sizeof(sum));
+    return bytes;
+  };
+  const std::uint8_t two = 2;
+  const double nan = std::nan("");
+  const std::uint64_t huge = std::uint64_t{1} << 40;
+  const std::int64_t wide = std::int64_t{1} << 40;
+  struct Case {
+    std::string bytes;
+    const char* error;
+  };
+  const Case cases[] = {
+      // counters: seen, queried, labels_since_refit, then trained_once.
+      {mutant("counters", 24, &two, 1), "non-boolean counters"},
+      // normalizer: norm_count, then norm_min.
+      {mutant("normalizer", 8, &nan, 8), "non-finite normalizer"},
+      {mutant("tensors", 0, &huge, 8), "tensors count is oversized"},
+      {mutant("pool", 0, &huge, 8), "oversized pool"},
+      // train: epochs .. use_fairness_penalty (5 * 8 + 1 bytes), then the
+      // fairness notion enum.
+      {mutant("train", 41, &wide, 8), "bad train"},
+  };
+  for (const Case& c : cases) {
+    SessionState out;
+    const Status status = DecodeSessionState(c.bytes, "resealed", &out);
+    ASSERT_FALSE(status.ok()) << c.error;
+    EXPECT_NE(std::string::npos, status.message().find(c.error))
+        << status.ToString();
+    EXPECT_NE(std::string::npos, status.message().find("@byte"))
+        << status.ToString();
+  }
 }
 
 // A decay outside (0, 1] would pass decode and then trip the CHECK in the
@@ -408,6 +550,32 @@ TEST(CheckpointCodec, DecodeRejectsDensityDecayOutsideUnitInterval) {
     EXPECT_FALSE(status.ok()) << "decay " << decay;
     EXPECT_NE(std::string::npos, status.message().find("density_decay"))
         << status.ToString();
+  }
+}
+
+// A window or refit interval of 2^50 would pass a checksum (the file is
+// well formed) and then throw bad_alloc in the learner WarmStart builds
+// from the decoded config, taking the fleet down with it.
+TEST(CheckpointCodec, DecodeRejectsOversizedRowBuffers) {
+  StreamingFaction faction(WindowedConfig(4));
+  RunStream(&faction, MakeStream(40, 6, 8), 0, 40, nullptr);
+  SessionState state;
+  CaptureSessionState(faction, &state);
+  const std::size_t huge = std::size_t{1} << 50;
+  for (const SessionFormat format : {SessionFormat::kBinary,
+                                     SessionFormat::kText}) {
+    for (const bool window : {true, false}) {
+      SessionState forged = state;
+      (window ? forged.config.density_window : forged.config.refit_interval) =
+          huge;
+      std::string encoded;
+      EncodeSessionState(forged, &encoded, format);
+      SessionState decoded;
+      const Status status = DecodeSessionState(encoded, "forged", &decoded);
+      EXPECT_FALSE(status.ok()) << (window ? "window" : "refit interval");
+      EXPECT_NE(std::string::npos, status.message().find("oversized"))
+          << status.ToString();
+    }
   }
 }
 
@@ -582,6 +750,101 @@ TEST(CheckpointManager, SnapshotRotationAndGenerationResume) {
   EXPECT_EQ(60u, manifest.value()[0].steps);
 }
 
+// Serve-path checkpoints for the warm-start tests: session s runs
+// SmallConfig(300 + s) over streams[s][0, steps) on 4 workers with
+// checkpointing on, and is snapshotted at exactly `steps` before the
+// runtime is "killed". Returns the standalone learners' decisions over
+// whole streams and their final parameter bits, the uninterrupted
+// reference.
+void ServeAndCheckpoint(const std::string& dir,
+                        const std::vector<std::vector<Example>>& streams,
+                        std::size_t steps,
+                        std::vector<std::vector<std::uint8_t>>* reference,
+                        std::vector<std::vector<std::uint64_t>>* bits) {
+  const std::size_t sessions = streams.size();
+  reference->assign(sessions, {});
+  bits->assign(sessions, {});
+  for (std::size_t s = 0; s < sessions; ++s) {
+    StreamingFaction faction(SmallConfig(300 + s));
+    RunStream(&faction, streams[s], 0, streams[s].size(), &(*reference)[s]);
+    (*bits)[s] = ParamBits(faction);
+  }
+  CheckpointOptions ckpt;
+  ckpt.dir = dir;
+  ckpt.interval_steps = 25;
+  ServeRuntimeOptions runtime_options;
+  runtime_options.workers = 4;
+  runtime_options.max_sessions = sessions;
+  runtime_options.record_latency = false;
+  ServeRuntime runtime(runtime_options);
+  runtime.EnableCheckpoints(ckpt);
+  std::vector<ServeSession*> served;
+  for (std::size_t s = 0; s < sessions; ++s) {
+    ServeSessionOptions options;
+    options.stream_id = s;
+    options.faction = SmallConfig(300 + s);
+    options.mailbox_capacity = steps;
+    served.push_back(runtime.CreateSession(options));
+  }
+  for (std::size_t i = 0; i < steps; ++i) {
+    for (std::size_t s = 0; s < sessions; ++s) {
+      ASSERT_TRUE(runtime.Offer(served[s], streams[s][i]));
+    }
+  }
+  runtime.Drain();
+  // Interval snapshots fired mid-run at worker-timing-dependent steps;
+  // pin the final generation at exactly `steps` (the test thread is the
+  // sole holder once Drain returned).
+  for (ServeSession* session : served) {
+    ASSERT_EQ(steps, session->steps());
+    EXPECT_TRUE(runtime.checkpoints()->SnapshotNow(session));
+  }
+  runtime.checkpoints()->Flush();
+  EXPECT_EQ(0u, runtime.checkpoints()->failures());
+}
+
+std::vector<std::vector<Example>> WarmStartStreams(std::size_t sessions,
+                                                   std::size_t n) {
+  std::vector<std::vector<Example>> streams(sessions);
+  for (std::size_t s = 0; s < sessions; ++s) {
+    streams[s] = MakeStream(n, SmallConfig(300 + s).model.input_dim, 900 + s);
+  }
+  return streams;
+}
+
+// Offers streams[s][from, to) to every session of `runtime` listed in
+// `ids`, then drains.
+void ServeRange(ServeRuntime* runtime,
+                const std::vector<std::vector<Example>>& streams,
+                const std::vector<std::size_t>& ids, std::size_t from,
+                std::size_t to) {
+  for (std::size_t i = from; i < to; ++i) {
+    for (const std::size_t s : ids) {
+      ServeSession* session = runtime->registry().Find(s);
+      ASSERT_NE(nullptr, session);
+      ASSERT_TRUE(runtime->Offer(session, streams[s][i]));
+    }
+  }
+  runtime->Drain();
+}
+
+std::string CheckpointPathOf(const std::string& dir, std::uint64_t stream) {
+  const Result<std::vector<CheckpointManifestEntry>> manifest =
+      CheckpointManager::ReadManifest(dir + "/manifest");
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  for (const CheckpointManifestEntry& e : manifest.value()) {
+    if (e.stream_id == stream) return dir + "/" + e.filename;
+  }
+  ADD_FAILURE() << "stream " << stream << " not in the manifest";
+  return "";
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(os.good()) << path;
+}
+
 // A session restored through the full serve path (checkpoint files +
 // manifest + WarmStart) must continue with bitwise-identical decisions to
 // the uninterrupted reference — at every worker count.
@@ -590,55 +853,11 @@ TEST(ServeWarmStart, KillThenRestoreDecisionParityAcrossWorkerCounts) {
   constexpr std::size_t kHalf = 60;
   constexpr std::size_t kTotal = 120;
   const std::string dir = MakeScratchDir("warmstart");
-
-  // Reference: uninterrupted standalone learners.
-  std::vector<std::vector<std::uint8_t>> reference(kSessions);
-  std::vector<std::vector<std::uint64_t>> reference_bits(kSessions);
-  std::vector<std::vector<Example>> streams(kSessions);
-  for (std::size_t s = 0; s < kSessions; ++s) {
-    const StreamingFactionConfig config = SmallConfig(300 + s);
-    streams[s] = MakeStream(kTotal, config.model.input_dim, 900 + s);
-    StreamingFaction faction(config);
-    RunStream(&faction, streams[s], 0, kTotal, &reference[s]);
-    reference_bits[s] = ParamBits(faction);
-  }
-
-  // Phase 1: serve the first half with checkpointing on, snapshot every
-  // session at exactly kHalf steps, then "kill" the runtime.
-  CheckpointOptions ckpt;
-  ckpt.dir = dir;
-  ckpt.interval_steps = 25;
-  {
-    ServeRuntimeOptions runtime_options;
-    runtime_options.workers = 4;
-    runtime_options.max_sessions = kSessions;
-    runtime_options.record_latency = false;
-    ServeRuntime runtime(runtime_options);
-    runtime.EnableCheckpoints(ckpt);
-    std::vector<ServeSession*> sessions;
-    for (std::size_t s = 0; s < kSessions; ++s) {
-      ServeSessionOptions options;
-      options.stream_id = s;
-      options.faction = SmallConfig(300 + s);
-      options.mailbox_capacity = kHalf;
-      sessions.push_back(runtime.CreateSession(options));
-    }
-    for (std::size_t i = 0; i < kHalf; ++i) {
-      for (std::size_t s = 0; s < kSessions; ++s) {
-        ASSERT_TRUE(runtime.Offer(sessions[s], streams[s][i]));
-      }
-    }
-    runtime.Drain();
-    // Interval snapshots fired mid-run at worker-timing-dependent steps;
-    // pin the final generation at exactly kHalf steps (the test thread is
-    // the sole holder once Drain returned).
-    for (ServeSession* session : sessions) {
-      ASSERT_EQ(kHalf, session->steps());
-      EXPECT_TRUE(runtime.checkpoints()->SnapshotNow(session));
-    }
-    runtime.checkpoints()->Flush();
-    EXPECT_EQ(0u, runtime.checkpoints()->failures());
-  }
+  const std::vector<std::vector<Example>> streams =
+      WarmStartStreams(kSessions, kTotal);
+  std::vector<std::vector<std::uint8_t>> reference;
+  std::vector<std::vector<std::uint64_t>> reference_bits;
+  ServeAndCheckpoint(dir, streams, kHalf, &reference, &reference_bits);
 
   // Phase 2: warm-start a fresh runtime from the manifest and serve the
   // second half — once inline, once on 4 workers.
@@ -655,16 +874,12 @@ TEST(ServeWarmStart, KillThenRestoreDecisionParityAcrossWorkerCounts) {
         runtime.WarmStart(dir + "/manifest", warm);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(kSessions, report.value().sessions);
+    EXPECT_EQ(0u, report.value().quarantined);
     EXPECT_EQ(kSessions * kHalf, report.value().total_steps);
 
-    for (std::size_t i = kHalf; i < kTotal; ++i) {
-      for (std::size_t s = 0; s < kSessions; ++s) {
-        ServeSession* session = runtime.registry().Find(s);
-        ASSERT_NE(nullptr, session);
-        ASSERT_TRUE(runtime.Offer(session, streams[s][i]));
-      }
-    }
-    runtime.Drain();
+    std::vector<std::size_t> ids(kSessions);
+    for (std::size_t s = 0; s < kSessions; ++s) ids[s] = s;
+    ServeRange(&runtime, streams, ids, kHalf, kTotal);
 
     for (std::size_t s = 0; s < kSessions; ++s) {
       ServeSession* session = runtime.registry().Find(s);
@@ -678,6 +893,125 @@ TEST(ServeWarmStart, KillThenRestoreDecisionParityAcrossWorkerCounts) {
           << "session " << s << " workers " << workers;
     }
   }
+}
+
+// One corrupt checkpoint degrades its own session, not the fleet: the
+// file that fails decode is skipped and counted, and the other sessions
+// restore and continue bitwise-identical to the uninterrupted reference.
+TEST(ServeWarmStart, CorruptCheckpointQuarantinesOnlyItsSession) {
+  constexpr std::size_t kSessions = 4, kHalf = 60, kTotal = 120;
+  constexpr std::size_t kCorrupt = 2;
+  const std::string dir = MakeScratchDir("quarantine");
+  const std::vector<std::vector<Example>> streams =
+      WarmStartStreams(kSessions, kTotal);
+  std::vector<std::vector<std::uint8_t>> reference;
+  std::vector<std::vector<std::uint64_t>> reference_bits;
+  ServeAndCheckpoint(dir, streams, kHalf, &reference, &reference_bits);
+
+  const std::string path = CheckpointPathOf(dir, kCorrupt);
+  std::string bytes = ReadFile(path);
+  bytes[bytes.size() / 2] ^= 0x04;
+  WriteFile(path, bytes);
+
+  ServeRuntimeOptions runtime_options;
+  runtime_options.workers = 2;
+  runtime_options.max_sessions = kSessions;
+  runtime_options.record_latency = false;
+  ServeRuntime runtime(runtime_options);
+  WarmStartOptions warm;
+  warm.mailbox_capacity = kTotal;
+  warm.decision_log_capacity = kTotal;
+  const Result<WarmStartReport> report =
+      runtime.WarmStart(dir + "/manifest", warm);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(kSessions - 1, report.value().sessions);
+  EXPECT_EQ(1u, report.value().quarantined);
+  EXPECT_EQ(nullptr, runtime.registry().Find(kCorrupt));
+
+  const std::vector<std::size_t> healthy = {0, 1, 3};
+  ServeRange(&runtime, streams, healthy, kHalf, kTotal);
+  for (const std::size_t s : healthy) {
+    const ServeSession* session = runtime.registry().Find(s);
+    const std::vector<std::uint8_t> tail(reference[s].begin() + kHalf,
+                                         reference[s].end());
+    EXPECT_EQ(tail, session->decisions()) << "session " << s;
+    EXPECT_EQ(reference_bits[s], ParamBits(session->faction()))
+        << "session " << s;
+  }
+}
+
+// A checkpoint that decodes (its checksum holds) but whose state the
+// learner would abort on is served cold from its decoded config.
+TEST(ServeWarmStart, UnrestorableStateIsServedCold) {
+  constexpr std::size_t kSessions = 4, kHalf = 60;
+  constexpr std::size_t kBad = 1;
+  const std::string dir = MakeScratchDir("cold");
+  std::vector<std::vector<std::uint8_t>> reference;
+  std::vector<std::vector<std::uint64_t>> reference_bits;
+  ServeAndCheckpoint(dir, WarmStartStreams(kSessions, kHalf), kHalf,
+                     &reference, &reference_bits);
+
+  const std::string path = CheckpointPathOf(dir, kBad);
+  SessionState state;
+  ASSERT_TRUE(DecodeSessionStateFromFile(path, &state).ok());
+  ASSERT_GT(state.pool_size, 0u);
+  state.pool_labels[0] = 5;
+  std::string bytes;
+  EncodeSessionState(state, &bytes);
+  WriteFile(path, bytes);
+
+  ServeRuntimeOptions runtime_options;
+  runtime_options.workers = 0;
+  runtime_options.max_sessions = kSessions;
+  runtime_options.record_latency = false;
+  ServeRuntime runtime(runtime_options);
+  const Result<WarmStartReport> report = runtime.WarmStart(dir + "/manifest");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(kSessions - 1, report.value().sessions);
+  EXPECT_EQ(1u, report.value().quarantined);
+  EXPECT_EQ((kSessions - 1) * kHalf, report.value().total_steps);
+  const ServeSession* cold = runtime.registry().Find(kBad);
+  ASSERT_NE(nullptr, cold);
+  EXPECT_EQ(0u, cold->steps());
+  EXPECT_EQ(0u, cold->faction().samples_seen());
+  EXPECT_EQ(0u, cold->faction().pool_size());
+}
+
+// A manifest that repeats a stream id, or lists more sessions than the
+// runtime holds, used to trip the registry's CHECKs; now the repeat is
+// quarantined and the overflow is a Status.
+TEST(ServeWarmStart, ManifestRepeatsAndOverflowAreStatuses) {
+  constexpr std::size_t kSessions = 2, kSteps = 30;
+  const std::string dir = MakeScratchDir("repeat");
+  std::vector<std::vector<std::uint8_t>> reference;
+  std::vector<std::vector<std::uint64_t>> reference_bits;
+  ServeAndCheckpoint(dir, WarmStartStreams(kSessions, kSteps), kSteps,
+                     &reference, &reference_bits);
+  const auto name = [&](std::uint64_t stream) {
+    const std::string path = CheckpointPathOf(dir, stream);
+    return path.substr(path.find_last_of('/') + 1);
+  };
+  const std::string manifest = dir + "/manifest.repeat";
+  {
+    std::ofstream os(manifest, std::ios::trunc);
+    os << "faction-manifest v1\nsessions 3\n0 1 30 " << name(0)
+       << "\n0 1 30 " << name(0) << "\n1 1 30 " << name(1) << "\n";
+  }
+  for (const std::size_t max_sessions : {kSessions, std::size_t{1}}) {
+    ServeRuntimeOptions runtime_options;
+    runtime_options.workers = 0;
+    runtime_options.max_sessions = max_sessions;
+    ServeRuntime runtime(runtime_options);
+    const Result<WarmStartReport> report = runtime.WarmStart(manifest);
+    if (max_sessions == kSessions) {
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(kSessions, report.value().sessions);
+      EXPECT_EQ(1u, report.value().quarantined);
+    } else {
+      EXPECT_FALSE(report.ok());
+    }
+  }
+  std::remove(manifest.c_str());
 }
 
 // Both buffers in serializer hands -> the snapshot is skipped, never

@@ -1,21 +1,27 @@
-// Seeded mutation fuzz over the text decoders and parsers: the session
-// checkpoint codec (a grow-only and a windowed session), the v2 model
-// serializer, the checkpoint manifest reader and the scenario DSL (its
-// preset specs). Each trial substitutes 1-6 bytes (1-2 in a spec) of a
-// valid input built in-test from fixed seeds. Every mutant must either be rejected with a
-// Status or survive: a session survivor decodes, restores, and takes enough
-// arrivals for a refit and a window eviction; a model survivor predicts; a
-// scenario survivor re-parses from its canonical spec to the same config
-// and builds its stream. An abort anywhere fails the suite.
+// Seeded mutation fuzz over the decoders and parsers: the session
+// checkpoint codec (a grow-only and a windowed session in the binary
+// encoding, the windowed one again with each mutant's checksum recomputed
+// so the binary reader's field checks see it, and the pinned text
+// fixture), the v2 model serializer, the checkpoint manifest reader and
+// the scenario DSL (its preset specs). Each trial substitutes 1-6 bytes
+// (1-2 in a spec) of a valid input built in-test from fixed seeds. Every
+// mutant must either be rejected with a Status or survive: a session
+// survivor decodes, restores, and takes enough arrivals for a refit and a
+// window eviction (a resealed one only decodes); a model survivor
+// predicts; a scenario survivor re-parses from its canonical spec to the
+// same config and builds its stream. An abort anywhere fails the suite.
 //
-// Mutants that decode and run are counted as silent accepts: without a
-// per-record checksum the codec cannot tell a corrupted value from a real
-// one, so that count is reported, not asserted.
+// Mutants that survive are counted as silent accepts. The binary session
+// encoding carries a checksum, so for it that count must be zero; the
+// resealed and text corpora have none, so theirs is reported, not
+// asserted.
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -88,6 +94,17 @@ std::string SessionCorpus(bool windowed) {
   std::string encoded;
   EncodeSessionState(state, &encoded);
   return encoded;
+}
+
+// The text debug encoding of a windowed session (pool, ring and all four
+// density cells non-empty).
+std::string TextSessionCorpus() {
+  std::ifstream file(std::string(FACTION_TEST_DATA_DIR) +
+                     "/session_windowed.ckpt");
+  EXPECT_TRUE(file.is_open());
+  std::stringstream contents;
+  contents << file.rdbuf();
+  return contents.str();
 }
 
 std::string ModelCorpus() {
@@ -172,6 +189,26 @@ void RunSessionTrial(const std::string& mutant, Tally* tally) {
   ++tally->accepted;
 }
 
+/// Decodes a binary session mutant after recomputing its checksum
+/// trailer, so the mutant reaches the binary reader's own field checks.
+/// Survivors are not restored: a resealed window size up to the decoder's
+/// cap is legal but sizes large buffers, and a value scaled by 2^100 trips
+/// the finiteness DCHECKs of the first score. Catching those is the checksum's
+/// job.
+void RunResealedSessionTrial(const std::string& mutant, Tally* tally) {
+  std::string resealed = mutant;
+  const std::size_t end = resealed.size() - 8;
+  const std::uint64_t sum =
+      Fnv1a64Words(std::string_view(resealed).substr(0, end));
+  std::memcpy(resealed.data() + end, &sum, sizeof(sum));
+  SessionState state;
+  if (DecodeSessionState(resealed, "mutant", &state).ok()) {
+    ++tally->accepted;
+  } else {
+    ++tally->rejected;
+  }
+}
+
 void RunModelTrial(const std::string& mutant, Tally* tally) {
   std::istringstream is(mutant);
   Result<MlpClassifier> loaded = LoadModel(is, "mutant");
@@ -247,17 +284,22 @@ TEST(CodecFuzz, MutantsNeverAbort) {
     std::vector<std::string> texts;  // trial t mutates texts[t % size]
     int max_edits;  // a spec is a few dozen bytes: two edits, not six
     void (*run)(const std::string&, Tally*);
+    bool checksummed;  // every mutant must be rejected
   };
   std::vector<std::string> specs = ScenarioPresetSpecs();
   // Pinned regression input: %g once cut these to six digits, so the
   // canonical spec re-parsed to a different config.
   specs.push_back("nysf;label_noise=0.123456789;imbalance=0.30000000000000004");
   const Corpus corpora[] = {
-      {"grow-only session", {SessionCorpus(false)}, 6, &RunSessionTrial},
-      {"windowed session", {SessionCorpus(true)}, 6, &RunSessionTrial},
-      {"v2 model", {ModelCorpus()}, 6, &RunModelTrial},
-      {"manifest", {ManifestCorpus()}, 6, &RunManifestTrial},
-      {"scenario presets", specs, 2, &RunScenarioTrial},
+      {"grow-only session", {SessionCorpus(false)}, 6, &RunSessionTrial,
+       true},
+      {"windowed session", {SessionCorpus(true)}, 6, &RunSessionTrial, true},
+      {"resealed session", {SessionCorpus(true)}, 6, &RunResealedSessionTrial,
+       false},
+      {"text session", {TextSessionCorpus()}, 6, &RunSessionTrial, false},
+      {"v2 model", {ModelCorpus()}, 6, &RunModelTrial, false},
+      {"manifest", {ManifestCorpus()}, 6, &RunManifestTrial, false},
+      {"scenario presets", specs, 2, &RunScenarioTrial, false},
   };
   Rng rng(kFuzzSeed);
   int trials = 0;
@@ -282,8 +324,11 @@ TEST(CodecFuzz, MutantsNeverAbort) {
                 corpus.name, bytes, kTrialsPerCorpus, tally.rejected,
                 tally.accepted);
     EXPECT_EQ(kTrialsPerCorpus, tally.rejected + tally.accepted);
+    if (corpus.checksummed) {
+      EXPECT_EQ(0, tally.accepted) << corpus.name;
+    }
   }
-  EXPECT_GE(trials, 2000);
+  EXPECT_GE(trials, 2800);
   std::remove(kLastSurvivor);
 }
 
